@@ -1,5 +1,5 @@
-// Serving throughput: SIMD vs scalar scoring kernels, single-thread
-// batched scoring, and the pooled engine.
+// Serving throughput: SIMD kernels vs the scalar Datapath::dot
+// fallback, single-thread batched scoring, and the pooled engine.
 //
 //   $ ./runtime_throughput [--smoke] [--out FILE] [samples]
 //
@@ -7,8 +7,9 @@
 // Q2.6):
 //
 //  1. Kernel: the same PackedBatch is scored with the kernel backend
-//     forced to scalar and then on the best backend the host compiled
-//     (DESIGN.md §14).  Both accumulator modes are timed; every
+//     forced to scalar — every row then takes BatchScorer's
+//     Datapath::dot fallback — and then on the best backend the host
+//     compiled (DESIGN.md §14).  Both accumulator modes are timed; every
 //     projection word and label must match the forced-scalar run and
 //     the per-sample classify() reference bit for bit, or the bench
 //     exits non-zero.  The full run also gates the wide-accumulator

@@ -1,8 +1,5 @@
 #include "core/classifier.h"
 
-#include <algorithm>
-
-#include "fixed/simd.h"
 #include "support/error.h"
 
 namespace ldafp::core {
@@ -93,64 +90,6 @@ Label FixedClassifier::classify(const linalg::Vector& x,
                                 fixed::DotDiagnostics* diag) const {
   const std::int64_t y = project_raw(x, diag);
   return datapath_->ge(y, threshold_word_) ? Label::kClassA : Label::kClassB;
-}
-
-std::vector<Label> FixedClassifier::classify_batch(
-    const std::vector<linalg::Vector>& xs, fixed::DotDiagnostics* diag) const {
-  std::vector<Label> out;
-  out.reserve(xs.size());
-  if (diag != nullptr ||
-      datapath_->kind() != fixed::DatapathKind::kTwosComplement) {
-    // Diagnostics need the instrumented per-sample datapath, and
-    // backends without vector kernels (LNS) always score per sample;
-    // one scratch buffer for the quantized features, refilled in place.
-    fixed::DotDiagnostics total;
-    std::vector<std::int64_t> xq(dim());
-    for (const linalg::Vector& x : xs) {
-      LDAFP_CHECK(x.size() == dim(), "classify_batch dimension mismatch");
-      for (std::size_t m = 0; m < x.size(); ++m) {
-        xq[m] = datapath_->quantize(x[m]);
-      }
-      fixed::DotDiagnostics step;
-      const std::int64_t y = datapath_->dot(
-          weight_words_.data(), xq.data(), xq.size(),
-          diag != nullptr ? &step : nullptr);
-      if (diag != nullptr) {
-        total.product_overflows += step.product_overflows;
-        total.accumulator_wraps += step.accumulator_wraps;
-        total.final_overflow = total.final_overflow || step.final_overflow;
-      }
-      out.push_back(datapath_->ge(y, threshold_word_) ? Label::kClassA
-                                                      : Label::kClassB);
-    }
-    if (diag != nullptr) *diag = total;
-    return out;
-  }
-  // Hot path: quantize into one AoSoA tile and run the vector kernels
-  // (bit-identical to the loop above — DESIGN.md §14).
-  namespace simd = fixed::simd;
-  const fixed::FixedFormat& fmt = datapath_->format();
-  const fixed::RoundingMode mode = datapath_->rounding();
-  const simd::DotPlan plan = simd::make_plan(
-      weight_words_.data(), dim(), fmt, mode, datapath_->accumulator());
-  std::vector<std::int64_t> tile(dim() * simd::kLane, 0);
-  std::int64_t y[simd::kLane];
-  for (std::size_t base = 0; base < xs.size(); base += simd::kLane) {
-    const std::size_t lanes = std::min(simd::kLane, xs.size() - base);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const linalg::Vector& x = xs[base + lane];
-      LDAFP_CHECK(x.size() == dim(), "classify_batch dimension mismatch");
-      for (std::size_t m = 0; m < dim(); ++m) {
-        tile[m * simd::kLane + lane] = fmt.quantize_saturate(x[m], mode);
-      }
-    }
-    simd::score_tile(plan, tile.data(), y, lanes);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      out.push_back(y[lane] >= threshold_word_ ? Label::kClassA
-                                               : Label::kClassB);
-    }
-  }
-  return out;
 }
 
 }  // namespace ldafp::core

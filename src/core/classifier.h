@@ -10,6 +10,8 @@
 // (per-product rounding, wrapping accumulation, exact magnitude
 // comparator — the circuit the paper targets); the LNS backend swaps
 // in add-for-multiply log-domain arithmetic behind the same interface.
+// FixedClassifier scores one sample; batches go through
+// runtime::BatchScorer, which replays this datapath bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -120,17 +122,6 @@ class FixedClassifier {
   /// threshold with the backend's W-bit comparator.
   Label classify(const linalg::Vector& x,
                  fixed::DotDiagnostics* diag = nullptr) const;
-
-  /// Batched decision rule: classifies every sample with the identical
-  /// datapath (bit-for-bit equal to calling classify per sample).  On
-  /// the two's-complement backend with no diagnostics requested the
-  /// batch runs on the vectorized scoring kernels (fixed/simd.h); with
-  /// diagnostics, or on backends without vector kernels (LNS), it takes
-  /// the instrumented per-sample datapath, aggregating events over the
-  /// whole batch.
-  std::vector<Label> classify_batch(const std::vector<linalg::Vector>& xs,
-                                    fixed::DotDiagnostics* diag =
-                                        nullptr) const;
 
   /// The accumulator architecture this classifier models.
   fixed::AccumulatorMode accumulator() const {

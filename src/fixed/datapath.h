@@ -12,12 +12,13 @@
 //
 // Two backends ship today:
 //  * kTwosComplement — the paper's QK.F datapath: the scalar MAC core
-//    `dot_datapath_raw` (fixed/dot.h), and batch callers hit the SIMD
-//    kernels of fixed/simd.h.
+//    `dot_datapath_raw` (fixed/dot.h); runtime::BatchScorer runs full
+//    tiles on the SIMD kernels of fixed/simd.h and every other row on
+//    dot().
 //  * kLns — sign + fixed-point log2 magnitude (fixed/lns.h), layout
 //    derived deterministically from the same QK.F descriptor via
-//    LnsFormat::matched.  Scalar only; batch callers fall back to a
-//    per-sample loop.
+//    LnsFormat::matched.  Scalar only; BatchScorer scores every row on
+//    dot().
 //
 // All values cross this interface as raw int64 words (sign-extended
 // W-bit patterns), so buffers, model files, and the wire format stay

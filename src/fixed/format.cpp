@@ -119,17 +119,6 @@ double FixedFormat::round_to_grid(double value, RoundingMode mode) const {
   return to_real(quantize_saturate(value, mode));
 }
 
-std::int64_t FixedFormat::wrap_raw(std::int64_t raw) const {
-  const int w = word_length();
-  const auto uraw = static_cast<std::uint64_t>(raw);
-  const std::uint64_t mask = (std::uint64_t{1} << w) - 1;
-  std::uint64_t wrapped = uraw & mask;
-  // Sign-extend bit w-1.
-  const std::uint64_t sign_bit = std::uint64_t{1} << (w - 1);
-  if (wrapped & sign_bit) wrapped |= ~mask;
-  return static_cast<std::int64_t>(wrapped);
-}
-
 std::string FixedFormat::to_string() const {
   // Appended piecewise: gcc 12 misreports `"Q" + std::string&&` as an
   // overlapping memcpy (-Wrestrict).

@@ -65,8 +65,17 @@ class FixedFormat {
                        RoundingMode mode = RoundingMode::kNearestEven) const;
 
   /// Wraps an arbitrary int64 into this format's two's-complement raw
-  /// range (the hardware adder/register behaviour).
-  std::int64_t wrap_raw(std::int64_t raw) const;
+  /// range (the hardware adder/register behaviour).  Inline: the scalar
+  /// MAC (dot_datapath_raw) calls it on every accumulation step.
+  std::int64_t wrap_raw(std::int64_t raw) const {
+    // Shift the sign bit to bit 63 and back; the left shift goes through
+    // uint64 to avoid signed-overflow UB, and C++20 defines the
+    // arithmetic right shift.
+    const int shift = 64 - word_length();
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(raw)
+                                     << shift) >>
+           shift;
+  }
 
   /// "QK.F" display form.
   std::string to_string() const;

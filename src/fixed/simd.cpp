@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "fixed/value.h"
 #include "support/error.h"
 
 namespace ldafp::fixed::simd {
@@ -139,59 +138,25 @@ DotPlan make_plan(const std::int64_t* weights, std::size_t dim,
   return plan;
 }
 
-void score_tile_scalar(const DotPlan& plan, const std::int64_t* x,
-                       std::int64_t* y, std::size_t lanes) {
-  const std::int64_t* w = plan.weights;
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    std::int64_t y_raw;
-    if (plan.acc == AccumulatorMode::kWide) {
-      // Mirrors fixed::dot_wide: exact products at scale 2^-2F, wrapping
-      // accumulation in the K.2F register, one final rounding to QK.F.
-      std::int64_t acc = 0;
-      for (std::size_t m = 0; m < plan.dim; ++m) {
-        acc = wrap_word(acc + w[m] * x[m * kLane + lane],
-                        plan.wide_word_length);
-      }
-      y_raw = wrap_word(Fixed::narrow_raw(acc, plan.frac_bits, plan.mode),
-                        plan.word_length);
-    } else {
-      // Mirrors fixed::dot_narrow: every product rounded to QK.F and
-      // wrapped, accumulator wraps in QK.F.
-      std::int64_t acc = 0;
-      for (std::size_t m = 0; m < plan.dim; ++m) {
-        const std::int64_t prod =
-            wrap_word(Fixed::narrow_raw(w[m] * x[m * kLane + lane],
-                                        plan.frac_bits, plan.mode),
-                      plan.word_length);
-        acc = wrap_word(acc + prod, plan.word_length);
-      }
-      y_raw = acc;
-    }
-    y[lane] = y_raw;
-  }
-}
-
-void score_tile(const DotPlan& plan, const std::int64_t* x, std::int64_t* y,
-                std::size_t lanes) {
+bool score_tile(const DotPlan& plan, [[maybe_unused]] const std::int64_t* x,
+                [[maybe_unused]] std::int64_t* y, std::size_t lanes) {
   // Vector kernels run only full tiles whose wrap sequence is provably
-  // deferrable; everything else takes the per-step-wrap reference.
-  if (lanes == kLane && plan.defer_safe) {
-    switch (resolve_backend()) {
+  // deferrable; the caller scores everything else on Datapath::dot.
+  if (lanes != kLane || !plan.defer_safe) return false;
+  switch (resolve_backend()) {
 #if defined(LDAFP_HAVE_AVX2)
-      case Backend::kAvx2:
-        score_tile_avx2(plan, x, y);
-        return;
+    case Backend::kAvx2:
+      score_tile_avx2(plan, x, y);
+      return true;
 #endif
 #if defined(LDAFP_HAVE_NEON)
-      case Backend::kNeon:
-        score_tile_neon(plan, x, y);
-        return;
+    case Backend::kNeon:
+      score_tile_neon(plan, x, y);
+      return true;
 #endif
-      default:
-        break;
-    }
+    default:
+      return false;
   }
-  score_tile_scalar(plan, x, y, lanes);
 }
 
 }  // namespace ldafp::fixed::simd

@@ -4,10 +4,17 @@
 // datapath for whole batches of samples.  Because fixed-point inference
 // is exact integer math, the kernel can be vectorized across samples
 // with zero numerical risk: each vector lane executes the same integer
-// operation sequence the scalar datapath executes for one sample, so
-// lanes cannot change results.  The tests assert bit-identity between
-// every compiled backend and the scalar reference across the full
-// FixedFormat × RoundingMode × AccumulatorMode sweep.
+// operation sequence the scalar datapath (fixed::dot_datapath_raw)
+// executes for one sample, so lanes cannot change results.  The tests
+// assert bit-identity between every compiled vector backend and that
+// reference across the full FixedFormat × RoundingMode ×
+// AccumulatorMode sweep.
+//
+// This layer holds vector kernels only.  It has no scalar copy of the
+// MAC: whatever score_tile declines (partial tiles, plans that are not
+// defer_safe, the scalar backend) the caller scores through
+// fixed::Datapath::dot, the one scalar reference
+// (runtime::BatchScorer::score is that caller).
 //
 // Layout: batches are packed AoSoA — tiles of kLane samples, feature-
 // major within a tile (word (r, m) lives at tile[m * kLane + r % kLane]).
@@ -21,14 +28,15 @@
 // the wraps can all be deferred to one final reduction — provided the
 // unwrapped int64 sum cannot overflow (which would be UB, not wrapping).
 // make_plan() decides this per classifier (DotPlan::defer_safe) from the
-// word length and feature count; when deferral is not provably safe the
-// dispatcher falls back to the per-step-wrap scalar reference, keeping
-// the vector path exact-by-construction everywhere it runs.
+// word length and feature count; the vector kernels run only where
+// deferral is provably safe, so they are exact-by-construction
+// everywhere they run.
 //
-// Backends: AVX2 (x86-64, runtime-detected), NEON (aarch64), scalar.
-// Dispatch picks the best compiled+supported backend once; tests and the
-// CI scalar-fallback leg can force a backend with set_backend_override()
-// or the LDAFP_SIMD environment variable (scalar|avx2|neon|auto).
+// Backends: AVX2 (x86-64, runtime-detected), NEON (aarch64), scalar
+// (no kernel: score_tile declines every tile).  Dispatch picks the best
+// compiled+supported backend once; tests and the CI scalar-fallback leg
+// can force a backend with set_backend_override() or the LDAFP_SIMD
+// environment variable (scalar|avx2|neon|auto).
 #pragma once
 
 #include <cstddef>
@@ -65,8 +73,9 @@ void set_backend_override(Backend backend);
 void clear_backend_override();
 
 /// Immutable description of one classifier's dot kernel.  Holds a
-/// borrowed pointer to the weight words — build one per score call (it
-/// is a handful of ints); do not store it past the weights' lifetime.
+/// borrowed pointer to the weight words; do not use it past the
+/// weights' lifetime.  A default-constructed plan is not defer_safe, so
+/// score_tile declines it.
 struct DotPlan {
   const std::int64_t* weights = nullptr;  ///< dim raw QK.F words
   std::size_t dim = 0;
@@ -89,32 +98,16 @@ DotPlan make_plan(const std::int64_t* weights, std::size_t dim,
                   const FixedFormat& fmt, RoundingMode mode,
                   AccumulatorMode acc);
 
-/// Scores `lanes` (1..kLane) samples of one AoSoA tile into y[0..lanes).
-/// `x` holds dim * kLane words, feature-major; y receives the QK.F
-/// projection words after the datapath's final rounding and wrap.
-/// Vector backends run only full tiles (lanes == kLane) with
-/// defer_safe plans; everything else takes the scalar reference, so
-/// results are bit-identical to FixedClassifier::classify per sample
-/// no matter which backend is active.
-void score_tile(const DotPlan& plan, const std::int64_t* x, std::int64_t* y,
+/// Scores one full AoSoA tile on the active vector backend: `x` holds
+/// dim * kLane words, feature-major; y[0..kLane) receives the QK.F
+/// projection words after the datapath's final rounding and wrap,
+/// bit-identical to fixed::dot_datapath_raw per lane.  Returns false,
+/// leaving `y` untouched, when no vector kernel may take the tile: a
+/// partial tile (lanes < kLane), a plan that is not defer_safe, or the
+/// scalar backend.  The caller then scores those rows through
+/// fixed::Datapath::dot.
+bool score_tile(const DotPlan& plan, const std::int64_t* x, std::int64_t* y,
                 std::size_t lanes = kLane);
-
-/// The per-step-wrap scalar reference (exactly the fixed::dot_datapath
-/// sequence).  Always available; exposed so tests can pin the baseline.
-void score_tile_scalar(const DotPlan& plan, const std::int64_t* x,
-                       std::int64_t* y, std::size_t lanes = kLane);
-
-/// Wraps a value into W-bit two's complement (sign-extended
-/// representative), the hardware register/adder behaviour.  Same
-/// function as FixedFormat::wrap_raw, available without a format object
-/// so kernels can call it on hot paths.
-constexpr std::int64_t wrap_word(std::int64_t v, int word_length) {
-  const int shift = 64 - word_length;
-  // C++20 guarantees arithmetic right shift on signed types; the left
-  // shift goes through uint64 to avoid signed-overflow UB.
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(v) << shift) >>
-         shift;
-}
 
 #if defined(LDAFP_HAVE_AVX2)
 /// AVX2 kernel (full defer_safe tiles only; compiled with -mavx2 in its

@@ -28,7 +28,7 @@ inline __m256i srai64(__m256i v, int n) {
                          _mm256_slli_epi64(sign, 64 - n));
 }
 
-/// wrap_word on 4 lanes: keep the low `w` bits, sign-extended.
+/// FixedFormat::wrap_raw on 4 lanes: keep the low `w` bits, sign-extended.
 inline __m256i wrap64(__m256i v, int w) {
   const int shift = 64 - w;  // w <= 62, so shift >= 2
   return srai64(_mm256_slli_epi64(v, shift), shift);

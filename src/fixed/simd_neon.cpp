@@ -18,7 +18,7 @@ inline int64x2_t srai64(int64x2_t v, int n) {
   return vshlq_s64(v, vdupq_n_s64(-n));
 }
 
-/// wrap_word on 2 lanes: keep the low `w` bits, sign-extended.
+/// FixedFormat::wrap_raw on 2 lanes: keep the low `w` bits, sign-extended.
 inline int64x2_t wrap64(int64x2_t v, int w) {
   const int shift = 64 - w;  // w <= 62, so shift >= 2
   return srai64(vshlq_s64(v, vdupq_n_s64(shift)), shift);

@@ -46,35 +46,6 @@ Fixed Fixed::add_saturate(const Fixed& rhs) const {
   return Fixed(format_, sum);
 }
 
-std::int64_t Fixed::narrow_raw(std::int64_t wide, int frac_bits,
-                                   RoundingMode mode) {
-  if (frac_bits == 0) return wide;
-  const std::int64_t unit = std::int64_t{1} << frac_bits;
-  // floor division and remainder in [0, unit).
-  std::int64_t q = wide >> frac_bits;  // arithmetic shift = floor for 2^k
-  const std::int64_t r = wide - (q << frac_bits);
-  switch (mode) {
-    case RoundingMode::kFloor:
-      return q;
-    case RoundingMode::kTowardZero:
-      // floor for positives; for negatives with a remainder, bump up.
-      if (wide < 0 && r != 0) ++q;
-      return q;
-    case RoundingMode::kNearestAway: {
-      const std::int64_t half = unit >> 1;
-      if (r > half || (r == half && wide >= 0)) ++q;
-      // tie on a negative value rounds away from zero = down = keep floor
-      return q;
-    }
-    case RoundingMode::kNearestEven: {
-      const std::int64_t half = unit >> 1;
-      if (r > half || (r == half && (q & 1) != 0)) ++q;
-      return q;
-    }
-  }
-  return q;
-}
-
 Fixed Fixed::mul_wrap(const Fixed& rhs, RoundingMode mode) const {
   LDAFP_CHECK(format_ == rhs.format_, "fixed mul: format mismatch");
   // |raw| < 2^61, so the product can exceed int64 for wide formats; guard

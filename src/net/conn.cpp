@@ -185,6 +185,7 @@ void Connection::handle_request(const ScoreRequestView& request) {
   }
   block->completions = loop_->completions;
   block->conn_id = conn_id_;
+  block->seq = head_seq_ + pending_.size();
   const runtime::SubmitStatus status = ctx_->engine->submit(block);
   if (status == runtime::SubmitStatus::kAccepted) {
     ctx_->metrics->accepted.increment();
@@ -250,11 +251,13 @@ void Connection::fail_protocol(FrameError error) {
 }
 
 void Connection::on_completion(runtime::RequestBlock* block) {
-  for (Pending& pending : pending_) {
-    if (pending.block == block) {
-      pending.ready = true;
-      return;
-    }
+  // The block's sequence number names its slot; the pointer check
+  // confirms the slot really is this block's.  Unsigned wrap sends a
+  // seq below head_seq_ out of range too.
+  const std::uint64_t index = block->seq - head_seq_;
+  if (index < pending_.size() && pending_[index].block == block) {
+    pending_[index].ready = true;
+    return;
   }
   // No pending slot claims this block (the pipeline was torn down
   // around it); recycle rather than leak.
@@ -276,6 +279,7 @@ bool Connection::pump() {
     }
     encode_response(head);
     pending_.pop_front();
+    ++head_seq_;
     encoded = true;
   }
   return encoded;

@@ -19,16 +19,18 @@
 // scored block back through the loop's CompletionQueue; the loop routes
 // it here via on_completion(), pump() encodes the response straight
 // from the block's results, and the block returns to the loop's
-// freelist.  Steady state allocates nothing.
+// freelist.  Steady state allocates nothing, on either datapath.
 //
 // Ordering: every request — accepted or immediately failed — occupies
 // one slot in the pending queue, and pump() only ever completes the
 // head slot, so responses cannot overtake each other no matter what
-// order completions land in.  Backpressure is explicit end to end:
-// engine kQueueFull becomes a REJECTED response (never a silent drop),
-// and a client that stops reading while the write buffer grows past its
-// bound is disconnected (slow-client protection) rather than buffering
-// without limit.
+// order completions land in.  Each slot has a sequence number (carried
+// on its block as RequestBlock::seq), so a completion finds its slot by
+// index in O(1) however deep the pipeline is.  Backpressure is explicit
+// end to end: engine kQueueFull becomes a REJECTED response (never a
+// silent drop), and a client that stops reading while the write buffer
+// grows past its bound is disconnected (slow-client protection) rather
+// than buffering without limit.
 #pragma once
 
 #include <atomic>
@@ -203,6 +205,9 @@ class Connection {
   std::vector<std::uint8_t> wbuf_;
   std::size_t wpos_ = 0;
   std::deque<Pending> pending_;
+  /// Sequence number of pending_.front(); slot i holds request
+  /// head_seq_ + i.
+  std::uint64_t head_seq_ = 0;
   bool close_after_flush_ = false;
   bool dead_ = false;
 };

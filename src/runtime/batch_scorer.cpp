@@ -12,40 +12,67 @@ namespace ldafp::runtime {
 
 namespace simd = fixed::simd;
 
+namespace {
+
+constexpr std::size_t kLane = PackedBatch::kLane;
+
+/// The one AoSoA row writer behind pack_into, pack_from_f64_le and
+/// append_packed.  Latches `dim` on an empty batch (a cleared batch
+/// keeps its word capacity but re-latches) or checks it against the
+/// rows already there, then appends `n` rows.  Row r's words come from
+/// `fill_row(r, col)`, which writes feature m to col[m * kLane] and
+/// returns false to stop; the writer then drops that row's partial
+/// words, so `out` holds exactly the rows before it.  A template, not a
+/// std::function: packing a request writes thousands of words.
+template <class FillRow>
+bool append_rows(PackedBatch& out, std::size_t dim, std::size_t n,
+                 FillRow&& fill_row) {
+  if (out.rows == 0) {
+    out.dim = dim;
+    out.words.clear();
+  } else {
+    LDAFP_CHECK(out.dim == dim,
+                "packed batch already holds rows of a different dim");
+  }
+  const std::size_t stride = dim * kLane;
+  out.words.reserve(((out.rows + n + kLane - 1) / kLane) * stride);
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t row = out.rows;
+    const bool new_tile = row % kLane == 0;
+    if (new_tile) {
+      // New zero-padded tile; padding lanes stay zero (harmless words
+      // that the kernels may read but whose results are never used).
+      out.words.resize(out.words.size() + stride, 0);
+    }
+    std::int64_t* col = out.words.data() + (row / kLane) * stride +
+                        row % kLane;
+    if (!fill_row(r, col)) {
+      if (new_tile) {
+        out.words.resize(out.words.size() - stride);
+      } else {
+        for (std::size_t m = 0; m < dim; ++m) col[m * kLane] = 0;
+      }
+      return false;
+    }
+    ++out.rows;
+  }
+  return true;
+}
+
+}  // namespace
+
 void PackedBatch::append_packed(const PackedBatch& src) {
   if (src.rows == 0) return;
-  if (rows == 0) {
-    dim = src.dim;
-    words.clear();
-  } else {
-    LDAFP_CHECK(dim == src.dim,
-                "append_packed: batches packed at different dims");
-  }
-  if (rows % kLane == 0) {
-    // Tile-aligned destination: the source tiles (padding included)
-    // drop in verbatim.  Interior padding lanes left by this copy are
-    // zero and get overwritten if more rows land later.
-    words.insert(words.end(), src.words.begin(), src.words.end());
-    rows += src.rows;
-    return;
-  }
-  // Mid-tile destination: restripe row by row into the open lanes.
-  const std::size_t stride = dim * kLane;
-  words.reserve(((rows + src.rows + kLane - 1) / kLane) * stride);
-  for (std::size_t r = 0; r < src.rows; ++r) {
-    const std::size_t row = rows + r;
-    if (row % kLane == 0) {
-      words.resize(words.size() + stride, 0);
-    }
-    std::int64_t* tile = words.data() + (row / kLane) * stride;
-    const std::size_t lane = row % kLane;
-    const std::int64_t* src_tile = src.words.data() + (r / kLane) * stride;
-    const std::size_t src_lane = r % kLane;
-    for (std::size_t m = 0; m < dim; ++m) {
-      tile[m * kLane + lane] = src_tile[m * kLane + src_lane];
-    }
-  }
-  rows += src.rows;
+  const std::size_t stride = src.dim * kLane;
+  append_rows(*this, src.dim, src.rows,
+              [&](std::size_t r, std::int64_t* col) {
+                const std::int64_t* src_col =
+                    src.words.data() + (r / kLane) * stride + r % kLane;
+                for (std::size_t m = 0; m < src.dim; ++m) {
+                  col[m * kLane] = src_col[m * kLane];
+                }
+                return true;
+              });
 }
 
 BatchScorer::BatchScorer(const core::FixedClassifier& clf)
@@ -53,7 +80,6 @@ BatchScorer::BatchScorer(const core::FixedClassifier& clf)
       twos_complement_(clf.datapath_kind() ==
                        fixed::DatapathKind::kTwosComplement),
       fmt_(clf.format()),
-      wide_fmt_(clf.format().integer_bits(), 2 * clf.format().frac_bits()),
       mode_(clf.rounding()),
       acc_(clf.accumulator()),
       weights_raw_(clf.weight_words()),
@@ -64,10 +90,10 @@ BatchScorer::BatchScorer(const core::FixedClassifier& clf)
       raw_min_(clf.format().raw_min()),
       raw_max_(clf.format().raw_max()) {
   if (twos_complement_) {
-    // Validate the integer-overflow envelope once at snapshot time (the
-    // same checks make_plan applies per score call).
-    simd::make_plan(weights_raw_.data(), weights_raw_.size(), fmt_, mode_,
-                    acc_);
+    // Also validates the integer-overflow envelope, once, at snapshot
+    // time.
+    plan_ = simd::make_plan(weights_raw_.data(), weights_raw_.size(), fmt_,
+                            mode_, acc_);
   }
 }
 
@@ -88,34 +114,14 @@ std::int64_t BatchScorer::quantize(double v) const {
 
 void BatchScorer::pack_into(PackedBatch& out, const linalg::Vector* xs,
                             std::size_t n) const {
-  constexpr std::size_t kLane = PackedBatch::kLane;
-  if (out.rows == 0) {
-    // Latch the layout on first pack; a cleared batch keeps its word
-    // capacity but re-latches.
-    out.dim = dim();
-    out.words.clear();
-  } else {
-    LDAFP_CHECK(out.dim == dim(),
-                "pack_into: batch already packed at a different dim");
-  }
-  const std::size_t m_count = dim();
-  out.words.reserve(((out.rows + n + kLane - 1) / kLane) * m_count * kLane);
+  const std::size_t d = dim();
   for (std::size_t r = 0; r < n; ++r) {
-    LDAFP_CHECK(xs[r].size() == m_count, "batch scorer dimension mismatch");
-    const std::size_t row = out.rows + r;
-    if (row % kLane == 0) {
-      // New zero-padded tile; padding lanes stay zero (harmless words
-      // that the kernels may read but whose results are never used).
-      out.words.resize(out.words.size() + m_count * kLane, 0);
-    }
-    std::int64_t* tile =
-        out.words.data() + (row / kLane) * m_count * kLane;
-    const std::size_t lane = row % kLane;
-    for (std::size_t m = 0; m < m_count; ++m) {
-      tile[m * kLane + lane] = quantize(xs[r][m]);
-    }
+    LDAFP_CHECK(xs[r].size() == d, "batch scorer dimension mismatch");
   }
-  out.rows += n;
+  append_rows(out, d, n, [&](std::size_t r, std::int64_t* col) {
+    for (std::size_t m = 0; m < d; ++m) col[m * kLane] = quantize(xs[r][m]);
+    return true;
+  });
 }
 
 PackedBatch BatchScorer::pack(const std::vector<linalg::Vector>& xs) const {
@@ -127,73 +133,43 @@ PackedBatch BatchScorer::pack(const std::vector<linalg::Vector>& xs) const {
 bool BatchScorer::pack_from_f64_le(PackedBatch& out,
                                    const std::uint8_t* payload,
                                    std::size_t n) const {
-  constexpr std::size_t kLane = PackedBatch::kLane;
-  if (out.rows == 0) {
-    out.dim = dim();
-    out.words.clear();
-  } else {
-    LDAFP_CHECK(out.dim == dim(),
-                "pack_from_f64_le: batch already packed at a different dim");
-  }
-  const std::size_t m_count = dim();
-  out.words.reserve(((out.rows + n + kLane - 1) / kLane) * m_count * kLane);
-  const std::uint8_t* p = payload;
-  for (std::size_t r = 0; r < n; ++r) {
-    const std::size_t row = out.rows;
-    if (row % kLane == 0) {
-      out.words.resize(out.words.size() + m_count * kLane, 0);
-    }
-    std::int64_t* tile =
-        out.words.data() + (row / kLane) * m_count * kLane;
-    const std::size_t lane = row % kLane;
-    for (std::size_t m = 0; m < m_count; ++m, p += 8) {
+  const std::size_t d = dim();
+  return append_rows(out, d, n, [&](std::size_t r, std::int64_t* col) {
+    const std::uint8_t* p = payload + r * d * 8;
+    for (std::size_t m = 0; m < d; ++m, p += 8) {
       // Exactly what WireReader::f64 yields: the LE u64 bit pattern
       // reinterpreted as IEEE-754 — so the value entering quantize() is
       // bit-identical to the decode-then-pack path.
       const double v = std::bit_cast<double>(support::get_u64le(p));
       if (std::isnan(v)) return false;  // reject at ingest, not in a worker
-      tile[m * kLane + lane] = quantize(v);
+      col[m * kLane] = quantize(v);
     }
-    out.rows += 1;
-  }
-  return true;
+    return true;
+  });
 }
 
 void BatchScorer::score(const PackedBatch& batch, ScoreResult* out) const {
   if (batch.rows == 0) return;
-  LDAFP_CHECK(batch.dim == dim(), "batch scorer dimension mismatch");
-  constexpr std::size_t kLane = PackedBatch::kLane;
-  if (!twos_complement_) {
-    // No vector kernels for this backend: gather each row out of the
-    // AoSoA tiles and run the datapath's scalar dot.  One row buffer
-    // per call, none per row.
-    std::vector<std::int64_t> xrow(dim());
-    for (std::size_t r = 0; r < batch.rows; ++r) {
-      const std::int64_t* tile = batch.tile(r / kLane);
-      const std::size_t lane = r % kLane;
-      for (std::size_t m = 0; m < dim(); ++m) {
-        xrow[m] = tile[m * kLane + lane];
-      }
-      const std::int64_t y =
-          datapath_->dot(weights_raw_.data(), xrow.data(), dim());
-      out[r].projection_raw = y;
-      out[r].label = datapath_->ge(y, threshold_raw_) ? core::Label::kClassA
-                                                      : core::Label::kClassB;
-    }
-    return;
-  }
-  const simd::DotPlan plan =
-      simd::make_plan(weights_raw_.data(), dim(), fmt_, mode_, acc_);
+  const std::size_t d = dim();
+  LDAFP_CHECK(batch.dim == d, "batch scorer dimension mismatch");
+  // Gather buffer for rows off the vector path; grows once per thread,
+  // so steady-state scoring allocates nothing on any backend.
+  thread_local std::vector<std::int64_t> row;
   std::int64_t y[kLane];
   for (std::size_t t = 0; t < batch.tiles(); ++t) {
     const std::size_t base = t * kLane;
     const std::size_t lanes = std::min(kLane, batch.rows - base);
-    simd::score_tile(plan, batch.tile(t), y, lanes);
+    const std::int64_t* tile = batch.tile(t);
+    if (!simd::score_tile(plan_, tile, y, lanes)) {
+      row.resize(d);
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        for (std::size_t m = 0; m < d; ++m) row[m] = tile[m * kLane + lane];
+        y[lane] = datapath_->dot(weights_raw_.data(), row.data(), d);
+      }
+    }
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       out[base + lane].projection_raw = y[lane];
-      out[base + lane].label = y[lane] >= threshold_raw_
-                                   ? core::Label::kClassA
-                                   : core::Label::kClassB;
+      out[base + lane].label = label(y[lane]);
     }
   }
 }
@@ -204,14 +180,6 @@ std::vector<ScoreResult> BatchScorer::score(
   std::vector<ScoreResult> out(batch.rows);
   score(batch, out.data());
   return out;
-}
-
-std::vector<core::Label> BatchScorer::classify(
-    const std::vector<linalg::Vector>& xs) const {
-  std::vector<core::Label> labels;
-  labels.reserve(xs.size());
-  for (const ScoreResult& r : score(xs)) labels.push_back(r.label);
-  return labels;
 }
 
 }  // namespace ldafp::runtime

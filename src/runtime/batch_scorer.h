@@ -1,16 +1,17 @@
-// Batched evaluation of the W-bit MAC datapath.
+// Batched evaluation of the W-bit MAC datapath: the one batch scorer.
 //
 // A BatchScorer snapshots a trained core::FixedClassifier into raw
-// integer form once — weight words, threshold word, format constants —
-// then scores whole batches of feature vectors over a contiguous packed
-// buffer using the vectorized kernels in fixed/simd.h (AVX2/NEON with a
-// runtime-dispatched scalar fallback).  The arithmetic replays
-// fixed::dot_datapath step for step (same product narrowing, same
-// wrapping accumulator, same final rounding), so every label and
+// integer form once — weight words, threshold word, format constants,
+// the vector kernel's DotPlan — then scores whole batches of feature
+// vectors over a contiguous packed buffer.  Every tile a vector kernel
+// of fixed/simd.h takes (full tiles of a defer_safe two's-complement
+// plan on AVX2/NEON) runs there; every other row is gathered out of its
+// tile and scored by fixed::Datapath::dot, the same scalar reference
+// FixedClassifier::classify uses per sample.  So every label and
 // projection is bit-identical to calling FixedClassifier::classify
-// sample by sample no matter which kernel backend is active; the batch
-// path only removes the per-call allocations, per-element format
-// re-checks, and the scalar one-sample-at-a-time MAC.
+// sample by sample on any backend and any datapath; the batch path only
+// removes the per-call allocations, per-element format re-checks, and
+// (where a vector kernel runs) the one-sample-at-a-time MAC.
 // tests/runtime/batch_scorer_test.cpp and
 // tests/runtime/simd_identity_test.cpp hold the cross-checks.
 //
@@ -37,7 +38,9 @@ namespace ldafp::runtime {
 /// within a tile, so one vector load reads the same feature of kLane
 /// consecutive samples.  Partial trailing tiles are zero-padded.
 /// Reused across scoring calls to keep the hot path allocation-free
-/// once the buffer has grown to the working batch size.
+/// once the buffer has grown to the working batch size.  Every writer
+/// (pack_into, pack_from_f64_le, append_packed) goes through one row
+/// writer, so they latch dim and lay out tiles identically.
 struct PackedBatch {
   static constexpr std::size_t kLane = fixed::simd::kLane;
 
@@ -62,7 +65,8 @@ struct PackedBatch {
 
   /// Appends every row of `src` (already-quantized words — pure lane
   /// restriping, no re-quantization), latching dim from `src` when this
-  /// batch is empty.  Throws InvalidArgumentError on a dim mismatch.
+  /// batch is empty.  Throws InvalidArgumentError on a dim mismatch,
+  /// leaving this batch unchanged.
   /// The engine uses this to merge per-request batches packed at ingest
   /// into one contiguous scoring batch.
   void append_packed(const PackedBatch& src);
@@ -79,13 +83,20 @@ struct ScoreResult {
 class BatchScorer {
  public:
   /// Snapshots the classifier's quantized words (no re-quantization —
-  /// the exact bits are copied via FixedClassifier::weight_words) and
-  /// shares its datapath.  Two's-complement classifiers score through
-  /// the vector kernels; other backends (LNS) score through the
-  /// datapath's scalar dot, still batched over the packed buffer.
-  /// Throws InvalidArgumentError when a two's-complement format exceeds
-  /// the scoring datapath's integer envelope (W <= 31, K + 2F <= 62).
+  /// the exact bits are copied via FixedClassifier::weight_words),
+  /// shares its datapath and, for two's-complement classifiers, builds
+  /// the vector kernels' DotPlan once.  Other backends (LNS) have no
+  /// plan and score every row through Datapath::dot.  Throws
+  /// InvalidArgumentError when a two's-complement format exceeds the
+  /// scoring datapath's integer envelope (W <= 31, K + 2F <= 62).
   explicit BatchScorer(const core::FixedClassifier& clf);
+
+  /// The plan borrows weights_raw_'s buffer: a move carries the buffer
+  /// along, a copy would leave the plan pointing into the source.
+  BatchScorer(const BatchScorer&) = delete;
+  BatchScorer& operator=(const BatchScorer&) = delete;
+  BatchScorer(BatchScorer&&) = default;
+  BatchScorer& operator=(BatchScorer&&) = default;
 
   std::size_t dim() const { return weights_raw_.size(); }
   const fixed::FixedFormat& format() const { return fmt_; }
@@ -97,7 +108,7 @@ class BatchScorer {
   /// preprocessing prescribes) into `out`, appending after out.rows.
   /// The batch's dim is latched on the first pack; appending from a
   /// scorer of a different dim throws InvalidArgumentError, as does a
-  /// per-sample dimension mismatch.
+  /// per-sample dimension mismatch (checked before any row is packed).
   void pack_into(PackedBatch& out, const linalg::Vector* xs,
                  std::size_t n) const;
 
@@ -110,23 +121,23 @@ class BatchScorer {
   /// out.rows.  Bit-identical to decoding the payload into doubles and
   /// calling pack_into (same cached quantizer; reading the IEEE-754 bit
   /// pattern is exact), asserted by the sweep in
-  /// tests/runtime/batch_scorer_test.cpp.  Returns false — leaving
-  /// `out` with any rows packed before the offender, callers should
-  /// clear() — when a value is NaN, so hostile payloads surface as a
-  /// request error at ingest instead of a crash in a scoring worker.
+  /// tests/runtime/batch_scorer_test.cpp and the mutation fuzz in
+  /// tests/net/ingest_fuzz_test.cpp.  Returns false — leaving `out`
+  /// exactly as if only the rows before the offender had been packed;
+  /// callers should clear() — when a value is NaN, so hostile payloads
+  /// surface as a request error at ingest instead of a crash in a
+  /// scoring worker.
   bool pack_from_f64_le(PackedBatch& out, const std::uint8_t* payload,
                         std::size_t n) const;
 
   /// Scores every row of the batch into `out[0..rows)`.  `out` must
-  /// have room for batch.rows results.
+  /// have room for batch.rows results.  Allocates nothing: rows off the
+  /// vector path are gathered into a per-thread row buffer that grows
+  /// once to the largest dim the thread has scored.
   void score(const PackedBatch& batch, ScoreResult* out) const;
 
   /// Convenience: pack + score, returning one result per sample.
   std::vector<ScoreResult> score(const std::vector<linalg::Vector>& xs) const;
-
-  /// Convenience: labels only (bit-identical to
-  /// FixedClassifier::classify per sample).
-  std::vector<core::Label> classify(const std::vector<linalg::Vector>& xs) const;
 
  private:
   /// The datapath's quantizer.  On the two's-complement backend this is
@@ -136,14 +147,25 @@ class BatchScorer {
   /// other backends delegate to Datapath::quantize.
   std::int64_t quantize(double v) const;
 
+  /// The decision stage: the backend's comparator on the threshold
+  /// word (signed order on the two's-complement backend, inlined).
+  core::Label label(std::int64_t y) const {
+    const bool a = twos_complement_ ? y >= threshold_raw_
+                                    : datapath_->ge(y, threshold_raw_);
+    return a ? core::Label::kClassA : core::Label::kClassB;
+  }
+
   std::shared_ptr<const fixed::Datapath> datapath_;
   bool twos_complement_ = true;  ///< cached kind check for the hot path
   fixed::FixedFormat fmt_;
-  fixed::FixedFormat wide_fmt_;  ///< K integer + 2F fractional bits
   fixed::RoundingMode mode_;
   fixed::AccumulatorMode acc_;
   std::vector<std::int64_t> weights_raw_;
   std::int64_t threshold_raw_ = 0;
+  /// Vector kernel plan over weights_raw_ (two's complement only; the
+  /// default plan of other backends is never defer_safe, so
+  /// simd::score_tile declines it).
+  fixed::simd::DotPlan plan_;
   // Cached quantizer constants.
   double q_scale_ = 1.0;  ///< 2^F, exact
   double q_min_ = 0.0;    ///< fmt_.min_value()

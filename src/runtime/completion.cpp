@@ -17,6 +17,7 @@ void RequestBlock::reset() {
   completions.reset();
   promise.reset();
   conn_id = 0;
+  seq = 0;
 }
 
 CompletionQueue::CompletionQueue() {

@@ -80,6 +80,9 @@ struct RequestBlock {
   /// Consumer-side routing cookie (the serving loop maps it back to the
   /// connection that submitted the block; 0 = unrouted).
   std::uint64_t conn_id = 0;
+  /// Consumer-side pipeline position (the serving connection's request
+  /// sequence number, which indexes its pending queue).
+  std::uint64_t seq = 0;
   /// Started at admission; measures queue wait + execution.
   support::WallTimer submitted;
 

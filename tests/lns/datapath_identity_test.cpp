@@ -174,6 +174,10 @@ TEST(DatapathIdentityTest, LnsDatapathDotIsLnsDotRaw) {
 }
 
 TEST(DatapathIdentityTest, ClassifyBatchMatchesPerSampleOnBothBackends) {
+  // Batch classification goes through BatchScorer on either datapath
+  // (vector tiles on two's complement, Datapath::dot rows on LNS); both
+  // must agree with per-sample classification, inputs past the format's
+  // range included.
   support::Rng rng(104);
   const fixed::FixedFormat fmt(2, 5);
   const std::size_t dim = 6;
@@ -184,16 +188,15 @@ TEST(DatapathIdentityTest, ClassifyBatchMatchesPerSampleOnBothBackends) {
     const core::FixedClassifier clf(fmt, weights, rng.uniform(-1, 1),
                                     fixed::RoundingMode::kNearestEven,
                                     fixed::AccumulatorMode::kWide, kind);
+    const runtime::BatchScorer scorer(clf);
     const auto xs = random_samples(128, dim, 3.0 * fmt.max_value(), rng);
-    // No-diag path (SIMD kernels on TC) and the instrumented path must
-    // both agree with per-sample classification.
-    const auto fast = clf.classify_batch(xs);
-    fixed::DotDiagnostics diag;
-    const auto instrumented = clf.classify_batch(xs, &diag);
-    ASSERT_EQ(fast.size(), xs.size());
+    const auto scored = scorer.score(xs);
+    ASSERT_EQ(scored.size(), xs.size());
     for (std::size_t i = 0; i < xs.size(); ++i) {
-      EXPECT_EQ(fast[i], clf.classify(xs[i])) << "sample " << i;
-      EXPECT_EQ(instrumented[i], fast[i]) << "sample " << i;
+      EXPECT_EQ(scored[i].label, clf.classify(xs[i]))
+          << fixed::to_string(kind) << " sample " << i;
+      EXPECT_EQ(scored[i].projection_raw, clf.project_raw(xs[i]))
+          << fixed::to_string(kind) << " sample " << i;
     }
   }
 }

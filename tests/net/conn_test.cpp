@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -289,43 +290,52 @@ TEST_F(ConnTest, SlowClientIsDisconnectedAtTheWriteBound) {
 // The head-of-line guarantee under adversarial completion order: the
 // test intercepts the loop's completion queue, hands the scored blocks
 // back to the connection in *reverse* submission order, and the
-// responses still come out in request order.
+// responses still come out in request order.  The deep pipeline (4096
+// pending slots) pins the O(1) sequence-indexed completion lookup: a
+// front-to-back scan would cost O(k^2) to drain it.
 TEST_F(ConnTest, OutOfOrderCompletionsStayHeadOfLineOrdered) {
-  constexpr std::uint64_t kCount = 8;
-  Connection conn(-1, &context_, &loop_);
-  std::vector<std::uint8_t> wire;
-  for (std::uint64_t id = 1; id <= kCount; ++id) encode(wire, request(id));
-  conn.ingest(wire.data(), wire.size());
-  ASSERT_EQ(conn.pending_count(), kCount);
-
-  // Collect every scored block straight off the CompletionQueue,
-  // bypassing drain_completions' routing.
-  std::vector<runtime::RequestBlock*> blocks;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (blocks.size() < kCount) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    for (runtime::RequestBlock* b = loop_.completions->drain();
-         b != nullptr;) {
-      runtime::RequestBlock* next = b->next;
-      b->next = nullptr;
-      blocks.push_back(b);
-      b = next;
+  for (const std::uint64_t count : {std::uint64_t{8}, std::uint64_t{4096}}) {
+    Connection conn(-1, &context_, &loop_);
+    // Collect every scored block straight off the CompletionQueue,
+    // bypassing drain_completions' routing.  Requests go in in chunks
+    // the engine queue can hold, so none is answered kRejected.
+    constexpr std::uint64_t kChunk = 256;
+    std::vector<runtime::RequestBlock*> blocks;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    for (std::uint64_t first = 1; first <= count; first += kChunk) {
+      std::vector<std::uint8_t> wire;
+      const std::uint64_t last = std::min(count, first + kChunk - 1);
+      for (std::uint64_t id = first; id <= last; ++id) {
+        encode(wire, request(id));
+      }
+      conn.ingest(wire.data(), wire.size());
+      ASSERT_EQ(conn.pending_count(), last);
+      while (blocks.size() < last) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+        for (runtime::RequestBlock* b = loop_.completions->drain();
+             b != nullptr;) {
+          runtime::RequestBlock* next = b->next;
+          b->next = nullptr;
+          blocks.push_back(b);
+          b = next;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
 
-  // Deliver in reverse: the tail request's completion lands first.
-  for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
-    conn.on_completion(*it);
-  }
-  while (conn.pending_count() > 0) ASSERT_TRUE(conn.pump());
+    // Deliver in reverse: the tail request's completion lands first.
+    for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
+      conn.on_completion(*it);
+    }
+    while (conn.pending_count() > 0) ASSERT_TRUE(conn.pump());
 
-  const auto got = responses(conn);
-  ASSERT_EQ(got.size(), kCount);
-  for (std::uint64_t id = 1; id <= kCount; ++id) {
-    EXPECT_EQ(got[id - 1].request_id, id);
-    EXPECT_EQ(got[id - 1].status, ResponseStatus::kOk);
+    const auto got = responses(conn);
+    ASSERT_EQ(got.size(), count);
+    for (std::uint64_t id = 1; id <= count; ++id) {
+      EXPECT_EQ(got[id - 1].request_id, id);
+      EXPECT_EQ(got[id - 1].status, ResponseStatus::kOk);
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -79,7 +80,11 @@ TEST(BatchScorerTest, MatchesClassifyBatchConvenienceOverload) {
                                      fixed::AccumulatorMode::kWide);
   const BatchScorer scorer(clf);
   const auto xs = random_samples(50, 12, 3.0, rng);
-  EXPECT_EQ(scorer.classify(xs), clf.classify_batch(xs));
+  const auto scored = scorer.score(xs);
+  ASSERT_EQ(scored.size(), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_EQ(scored[i].label, clf.classify(xs[i])) << "sample " << i;
+  }
 }
 
 TEST(BatchScorerTest, PackLayoutIsTiledFeatureMajorQuantized) {
@@ -299,9 +304,39 @@ TEST(BatchScorerTest, PackFromWireRejectsNaN) {
   EXPECT_EQ(batch.word(0, 1), fmt.raw_min());
 }
 
+// A NaN mid-payload stops the pack at its row and leaves the batch
+// exactly as if only the earlier rows had been packed — the offending
+// row's partial words are dropped, whether it opened a new tile or sat
+// mid-tile — so a caller that keeps the batch sees no stray words.
+TEST(BatchScorerTest, PackFromWireNaNKeepsOnlyEarlierRows) {
+  support::Rng rng(61);
+  const fixed::FixedFormat fmt(3, 5);
+  const auto clf = random_classifier(fmt, 4, rng,
+                                     fixed::RoundingMode::kNearestEven,
+                                     fixed::AccumulatorMode::kWide);
+  const BatchScorer scorer(clf);
+  const auto xs = random_samples(19, 4, 3.0, rng);
+  for (const std::size_t bad_row : {std::size_t{0}, std::size_t{5},
+                                    std::size_t{8}, std::size_t{18}}) {
+    auto payload = wire_payload(xs);
+    // Poison the last feature, so the row's other words were written.
+    std::vector<std::uint8_t> nan;
+    support::put_f64le(nan, std::numeric_limits<double>::quiet_NaN());
+    std::copy(nan.begin(), nan.end(),
+              payload.begin() +
+                  static_cast<std::ptrdiff_t>((bad_row * 4 + 3) * 8));
+    PackedBatch wire;
+    EXPECT_FALSE(scorer.pack_from_f64_le(wire, payload.data(), xs.size()));
+    PackedBatch reference;
+    scorer.pack_into(reference, xs.data(), bad_row);
+    EXPECT_EQ(wire.rows, bad_row);
+    EXPECT_EQ(wire.words, reference.words) << "bad row " << bad_row;
+  }
+}
+
 // append_packed restripes already-quantized rows without touching their
-// bits — both the tile-aligned verbatim path and the mid-tile lane
-// restripe must equal packing the concatenated sample list directly.
+// bits — merges onto a tile-aligned and onto a mid-tile destination
+// must both equal packing the concatenated sample list directly.
 TEST(BatchScorerTest, AppendPackedMatchesDirectPack) {
   support::Rng rng(59);
   const fixed::FixedFormat fmt(3, 5);

@@ -3,10 +3,12 @@
 // seam that must never change a single bit.  Every FixedFormat ×
 // RoundingMode × AccumulatorMode combination of the PR-1 parity matrix
 // is scored through (a) the per-sample FixedClassifier datapath, (b)
-// the BatchScorer forced onto the scalar kernel, and (c) the BatchScorer
-// on the best available vector backend, across batch sizes that are not
-// multiples of the tile width and dim=1 edge cases.  Projections and
-// labels must agree exactly everywhere.
+// the BatchScorer forced onto the scalar backend (every row on the
+// Datapath::dot fallback), and (c) the BatchScorer on the best
+// available vector backend, across batch sizes that are not multiples
+// of the tile width and dim=1 edge cases.  Projections and labels must
+// agree exactly everywhere; the last test repeats the comparison on
+// both arithmetic datapaths (two's complement and LNS).
 //
 // On hosts without a compiled vector backend the sweep degenerates to
 // scalar-vs-scalar, which still pins the packed path to the per-sample
@@ -147,28 +149,43 @@ TEST(SimdIdentityTest, VectorBackendBitIdenticalToScalarAcrossMatrix) {
   }
 }
 
-// classify_batch routes through the same kernels when no diagnostics
-// are requested; with diagnostics it takes the instrumented per-sample
-// path.  Both must agree with each other and with classify().
+// Batch classification (BatchScorer, the one batch scorer) on both
+// arithmetic datapaths, under the scalar override and the best backend:
+// every row — vector tile or Datapath::dot fallback — equals per-sample
+// classify/project_raw, for batch sizes off the tile width.  LNS has no
+// vector plan, so its rows take the fallback under every backend.
 TEST(SimdIdentityTest, ClassifyBatchMatchesPerSampleUnderEveryBackend) {
   BackendGuard guard;
+  const simd::Backend best = simd::active_backend();
   support::Rng rng(99);
   const fixed::FixedFormat fmt(2, 6);
-  for (const auto acc : {fixed::AccumulatorMode::kWide,
-                         fixed::AccumulatorMode::kNarrow}) {
-    const auto clf = random_classifier(
-        fmt, 11, rng, fixed::RoundingMode::kNearestAway, acc);
-    const auto xs = random_samples(37, 11, 3.0, rng);
-    std::vector<core::Label> expected;
-    for (const auto& x : xs) expected.push_back(clf.classify(x));
-    for (const auto backend : {simd::Backend::kScalar,
-                               simd::active_backend()}) {
-      simd::set_backend_override(backend);
-      EXPECT_EQ(clf.classify_batch(xs), expected)
-          << simd::to_string(backend);
-      fixed::DotDiagnostics diag;
-      EXPECT_EQ(clf.classify_batch(xs, &diag), expected);
-      simd::clear_backend_override();
+  const std::size_t dim = 11;
+  for (const auto kind : {fixed::DatapathKind::kTwosComplement,
+                          fixed::DatapathKind::kLns}) {
+    for (const auto acc : {fixed::AccumulatorMode::kWide,
+                           fixed::AccumulatorMode::kNarrow}) {
+      Vector w(dim);
+      for (std::size_t m = 0; m < dim; ++m) w[m] = rng.uniform(-2.0, 2.0);
+      const core::FixedClassifier clf(fmt, w, rng.uniform(-1.0, 1.0),
+                                      fixed::RoundingMode::kNearestAway, acc,
+                                      kind);
+      const BatchScorer scorer(clf);
+      for (const std::size_t n : {1u, 7u, 37u, 128u}) {
+        const auto xs = random_samples(n, dim, 3.0, rng);
+        for (const auto backend : {simd::Backend::kScalar, best}) {
+          simd::set_backend_override(backend);
+          const auto scored = scorer.score(xs);
+          ASSERT_EQ(scored.size(), n);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(scored[i].projection_raw, clf.project_raw(xs[i]))
+                << fixed::to_string(kind) << " " << fixed::to_string(acc)
+                << " n=" << n << " sample " << i << " backend "
+                << simd::to_string(backend);
+            ASSERT_EQ(scored[i].label, clf.classify(xs[i]));
+          }
+        }
+        simd::clear_backend_override();
+      }
     }
   }
 }
