@@ -503,7 +503,7 @@ int main(int argc, char** argv) {
                             "rps", "p50", "p99", "p999"});
   const auto row = [&](const char* phase, std::size_t conns,
                        const Tally& t, double seconds,
-                       const support::LatencyHistogram::Snapshot* hist) {
+                       const obs::Histogram::Snapshot* hist) {
     table.add_row(
         {phase, std::to_string(conns), std::to_string(t.sent),
          std::to_string(t.ok), std::to_string(t.rejected),
@@ -568,7 +568,7 @@ int main(int argc, char** argv) {
     const auto occupancy = engine.stats().batch_occupancy.snapshot();
     json.key("batch_occupancy");
     json.begin_object();
-    json.kv("samples", engine.stats().batch_occupancy.count());
+    json.kv("samples", occupancy.total_count);
     json.kv("p50", occupancy.quantile(0.5));
     json.kv("p90", occupancy.quantile(0.9));
     json.end_object();

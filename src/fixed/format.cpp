@@ -77,22 +77,6 @@ double FixedFormat::to_real(std::int64_t raw) const {
   return std::ldexp(static_cast<double>(raw), -frac_bits_);
 }
 
-std::int64_t round_real_to_int(double value, RoundingMode mode) {
-  switch (mode) {
-    case RoundingMode::kNearestEven: {
-      const double r = std::nearbyint(value);  // assumes FE_TONEAREST
-      return static_cast<std::int64_t>(r);
-    }
-    case RoundingMode::kNearestAway:
-      return static_cast<std::int64_t>(std::round(value));
-    case RoundingMode::kTowardZero:
-      return static_cast<std::int64_t>(std::trunc(value));
-    case RoundingMode::kFloor:
-      return static_cast<std::int64_t>(std::floor(value));
-  }
-  return 0;
-}
-
 std::int64_t FixedFormat::quantize_saturate(double value,
                                             RoundingMode mode) const {
   LDAFP_CHECK(!std::isnan(value), "cannot quantize NaN");

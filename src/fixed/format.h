@@ -7,6 +7,7 @@
 // Eq. 13 that LDA-FP constrains the weight vector to.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -93,7 +94,21 @@ class FixedFormat {
 };
 
 /// Rounds a real `value` to an integer according to `mode` (unit grid).
-/// Exposed for reuse by the product-narrowing path.
-std::int64_t round_real_to_int(double value, RoundingMode mode);
+/// Inline: packing calls it once per quantized word.
+inline std::int64_t round_real_to_int(double value, RoundingMode mode) {
+  switch (mode) {
+    case RoundingMode::kNearestEven: {
+      const double r = std::nearbyint(value);  // assumes FE_TONEAREST
+      return static_cast<std::int64_t>(r);
+    }
+    case RoundingMode::kNearestAway:
+      return static_cast<std::int64_t>(std::round(value));
+    case RoundingMode::kTowardZero:
+      return static_cast<std::int64_t>(std::trunc(value));
+    case RoundingMode::kFloor:
+      return static_cast<std::int64_t>(std::floor(value));
+  }
+  return 0;
+}
 
 }  // namespace ldafp::fixed

@@ -43,9 +43,12 @@ struct Server::Loop {
   /// `conns`: Connection destructors unregister from (and recycle into)
   /// this context, so it must outlive the map.
   LoopContext serve;
-  std::unordered_map<int, std::unique_ptr<Connection>> conns;
-  /// EPOLLOUT interest currently registered, per fd.
-  std::unordered_map<int, bool> write_interest;
+  /// A connection plus whether EPOLLOUT interest is registered for it.
+  struct Slot {
+    std::unique_ptr<Connection> conn;
+    bool write_armed = false;
+  };
+  std::unordered_map<int, Slot> conns;
   std::mutex inbox_mu;
   std::vector<int> inbox;  ///< accepted fds awaiting adoption
   /// Connection count mirror readable from other threads.
@@ -210,8 +213,8 @@ void Server::run_loop(Loop& loop, bool is_acceptor) {
     }
     if (stopping) {
       bool idle = true;
-      for (const auto& [fd, conn] : loop.conns) {
-        if (conn->pending_count() > 0 || conn->wants_write()) {
+      for (const auto& [fd, slot] : loop.conns) {
+        if (slot.conn->pending_count() > 0 || slot.conn->wants_write()) {
           idle = false;
           break;
         }
@@ -252,7 +255,7 @@ void Server::run_loop(Loop& loop, bool is_acceptor) {
       }
       auto it = loop.conns.find(fd);
       if (it == loop.conns.end()) continue;
-      Connection& conn = *it->second;
+      Connection& conn = *it->second.conn;
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
         // Mark dead, don't close yet: closing mid-batch frees the fd
         // number, which a same-batch accept could reuse — later stale
@@ -270,12 +273,11 @@ void Server::run_loop(Loop& loop, bool is_acceptor) {
   }
 
   // Loop exit: every connection this thread owns closes with it.
-  for (auto& [fd, conn] : loop.conns) {
+  for (const auto& [fd, slot] : loop.conns) {
     metrics_.connections_closed.increment();
     ::close(fd);
   }
   loop.conns.clear();
-  loop.write_interest.clear();
   loop.conn_count.store(0, std::memory_order_relaxed);
 }
 
@@ -339,10 +341,8 @@ void Server::add_connection(Loop& loop, int fd) {
     ::close(fd);
     return;
   }
-  loop.conns.emplace(fd,
-                     std::make_unique<Connection>(fd, &context_,
-                                                  &loop.serve));
-  loop.write_interest[fd] = false;
+  loop.conns.emplace(
+      fd, Loop::Slot{std::make_unique<Connection>(fd, &context_, &loop.serve)});
   loop.conn_count.store(loop.conns.size(), std::memory_order_relaxed);
 }
 
@@ -350,29 +350,28 @@ void Server::close_connection(Loop& loop, int fd) {
   ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   loop.conns.erase(fd);
-  loop.write_interest.erase(fd);
   loop.conn_count.store(loop.conns.size(), std::memory_order_relaxed);
   metrics_.connections_closed.increment();
 }
 
 void Server::service_connections(Loop& loop) {
   std::vector<int> finished;
-  for (auto& [fd, conn] : loop.conns) {
-    if (!conn->dead()) {
-      if (conn->pump()) conn->flush();
+  for (auto& [fd, slot] : loop.conns) {
+    Connection& conn = *slot.conn;
+    if (!conn.dead()) {
+      if (conn.pump()) conn.flush();
       // Level-triggered EPOLLOUT only while bytes are stuck in the
       // buffer, so an idle writable socket does not spin the loop.
-      const bool want = conn->wants_write() && !conn->dead();
-      bool& armed = loop.write_interest[fd];
-      if (want != armed) {
+      const bool want = conn.wants_write() && !conn.dead();
+      if (want != slot.write_armed) {
         epoll_event ev{};
         ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
         ev.data.fd = fd;
         ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, fd, &ev);
-        armed = want;
+        slot.write_armed = want;
       }
     }
-    if (conn->finished()) finished.push_back(fd);
+    if (conn.finished()) finished.push_back(fd);
   }
   for (const int fd : finished) close_connection(loop, fd);
 }

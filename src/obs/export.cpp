@@ -26,8 +26,13 @@ std::string format_value(double v) {
   return buf;
 }
 
+std::string format_in_unit(double v, Histogram::Unit unit) {
+  return unit == Histogram::Unit::kSeconds ? format_duration(v)
+                                           : format_value(v);
+}
+
 void write_histogram(support::JsonWriter& json,
-                     const support::LatencyHistogram::Snapshot& hist) {
+                     const Histogram::Snapshot& hist) {
   json.begin_object();
   json.kv("count", hist.total_count);
   json.kv("mean", hist.mean());
@@ -36,6 +41,7 @@ void write_histogram(support::JsonWriter& json,
   json.kv("p99", hist.quantile(0.99));
   json.kv("p999", hist.quantile(0.999));
   json.kv("max", hist.max_seconds);
+  json.kv("unit", hist.unit == Histogram::Unit::kSeconds ? "s" : "ratio");
   json.end_object();
 }
 
@@ -117,20 +123,18 @@ std::string to_table(const MetricsSnapshot& snapshot) {
 
   if (snapshot.histograms.empty()) return values.to_string();
 
-  support::TextTable latency(
+  support::TextTable hists(
       {"histogram", "count", "mean", "p50", "p90", "p99", "p999", "max"});
   for (const auto& h : snapshot.histograms) {
-    latency.add_row({metric_identity(h.name, h.labels),
-                     std::to_string(h.hist.total_count),
-                     format_duration(h.hist.mean()),
-                     format_duration(h.hist.quantile(0.5)),
-                     format_duration(h.hist.quantile(0.9)),
-                     format_duration(h.hist.quantile(0.99)),
-                     format_duration(h.hist.quantile(0.999)),
-                     format_duration(h.hist.max_seconds)});
+    const auto cell = [&h](double v) { return format_in_unit(v, h.hist.unit); };
+    hists.add_row({metric_identity(h.name, h.labels),
+                   std::to_string(h.hist.total_count), cell(h.hist.mean()),
+                   cell(h.hist.quantile(0.5)), cell(h.hist.quantile(0.9)),
+                   cell(h.hist.quantile(0.99)), cell(h.hist.quantile(0.999)),
+                   cell(h.hist.max_seconds)});
   }
-  if (values.size() == 0) return latency.to_string();
-  return values.to_string() + "\n" + latency.to_string();
+  if (values.size() == 0) return hists.to_string();
+  return values.to_string() + "\n" + hists.to_string();
 }
 
 }  // namespace ldafp::obs

@@ -23,7 +23,8 @@ namespace ldafp::obs {
 ///    "gauges": {"bnb.gap": 1e-9, ...},
 ///    "histograms": {"eval.train_seconds":
 ///        {"count": 3, "mean": ..., "p50": ..., "p90": ..., "p99": ...,
-///         "p999": ..., "max": ...}, ...}}
+///         "p999": ..., "max": ..., "unit": "s"}, ...}}
+/// Histogram values are in the declared unit: "s" (seconds) or "ratio".
 /// Composable: the writer may be inside any container (a bench's
 /// per-case object, the CLI's top-level document).
 void write_json(support::JsonWriter& json, const MetricsSnapshot& snapshot);
@@ -43,7 +44,8 @@ void write_trace_json(std::ostream& out,
                       const std::vector<SpanRecord>& spans);
 
 /// Renders counters/gauges as one aligned table and histograms (count,
-/// mean, and quantiles formatted as durations) as a second.
+/// mean, and quantiles; seconds formatted as durations, ratios as plain
+/// numbers) as a second.
 std::string to_table(const MetricsSnapshot& snapshot);
 
 }  // namespace ldafp::obs

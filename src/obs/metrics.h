@@ -3,11 +3,13 @@
 // MetricsRegistry is a registry of named, label-tagged counters, gauges,
 // and histograms.  Registration (name lookup) takes a mutex and may
 // allocate; it happens once, at setup time.  The returned handles are
-// stable references whose hot-path operations are single relaxed atomic
+// stable references whose hot-path operations are a few relaxed atomic
 // instructions — no locks, no allocation — so solver workers, sweep
 // trials, and serving threads all record into one registry without
-// serializing, exactly like support::LatencyHistogram (whose log-spaced
-// bucket layout obs::Histogram reuses unchanged).
+// serializing.  Histogram is the system's only histogram: log-linear
+// buckets indexed straight off the bits of the recorded double, each at
+// most 3.125% wide, with a unit (seconds or ratio) declared at
+// registration.
 //
 // Snapshots are plain value structs, deterministically sorted by metric
 // name then labels, so tests assert on them directly; the exporters in
@@ -15,6 +17,7 @@
 // aligned text table (support::TextTable).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -22,8 +25,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "support/histogram.h"
 
 namespace ldafp::obs {
 
@@ -71,7 +72,7 @@ class Gauge {
   void set_max(double v) noexcept;
 
   /// Accumulates into the gauge (CAS loop — atomic<double>::fetch_add
-  /// codegen is spotty, same rationale as LatencyHistogram's nanos).
+  /// codegen is spotty, same rationale as Histogram's integer nanos).
   void add(double v) noexcept;
 
   double load() const noexcept {
@@ -84,23 +85,71 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Distribution of positive quantities (seconds by convention) in the
-/// same fixed log-spaced buckets as support::LatencyHistogram.
+/// Distribution of non-negative values in a fixed log-linear layout.
+/// Each power of two in [2^kMinExponent, 2^kMaxExponent) splits into
+/// kSubBuckets equal-width buckets, so a bucket is at most 1/kSubBuckets
+/// (3.125%) of its lower edge wide; for seconds the range runs from
+/// ~7.5 ns to 128 s.  Index 0 is the underflow bucket (below the range,
+/// zero, negative, NaN) and the last index the overflow bucket.
 class Histogram {
  public:
+  /// What the recorded values measure; the exporters render seconds as
+  /// durations and ratios as plain numbers.
+  enum class Unit { kSeconds, kRatio };
+
+  static constexpr int kSubBucketBits = 5;
+  static constexpr int kSubBuckets = 1 << kSubBucketBits;
+  static constexpr int kMinExponent = -27;
+  static constexpr int kMaxExponent = 7;
+  static constexpr int kBuckets =
+      (kMaxExponent - kMinExponent) * kSubBuckets + 2;
+
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void record(double value) noexcept { hist_.record(value); }
-  std::uint64_t count() const { return hist_.count(); }
-  support::LatencyHistogram::Snapshot snapshot() const {
-    return hist_.snapshot();
-  }
+  /// Lock-free, allocation-free; safe from any number of threads.  The
+  /// bucket index is the double's biased exponent and top kSubBucketBits
+  /// mantissa bits, read as one integer.
+  void record(double value) noexcept;
+
+  Unit unit() const noexcept { return unit_; }
+
+  /// Immutable copy of the counters for aggregation off the hot path.
+  struct Snapshot {
+    Unit unit = Unit::kSeconds;
+    std::array<std::uint64_t, kBuckets> counts{};
+    std::uint64_t total_count = 0;
+    /// Sum of the positive values, exact to 1e-9 of the unit (integer
+    /// nanoseconds for seconds).
+    double sum_seconds = 0.0;
+    /// Largest value recorded, exactly; 0 until a positive value is.
+    double max_seconds = 0.0;
+
+    /// Mean recorded value (0 when empty).
+    double mean() const;
+
+    /// Upper edge of the bucket holding the q-quantile (q in [0,1]),
+    /// capped at the observed max; q = 1 and the overflow bucket report
+    /// the max itself.
+    double quantile(double q) const;
+  };
+
+  /// Per-counter reads are atomic; cross-counter skew of a few
+  /// in-flight records is acceptable for reporting.
+  Snapshot snapshot() const;
 
  private:
   friend class MetricsRegistry;
   Histogram() = default;
-  support::LatencyHistogram hist_;
+
+  /// Written once at registration, under the registry mutex, before the
+  /// handle is handed out.
+  Unit unit_ = Unit::kSeconds;
+  std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
+  /// Integer nanos so plain fetch_add works on every toolchain.
+  std::atomic<std::uint64_t> sum_nanos_{0};
+  /// Bit pattern of the max: non-negative doubles order like their bits.
+  std::atomic<std::uint64_t> max_bits_{0};
 };
 
 /// Immutable copy of every registered metric, taken off the hot path.
@@ -120,7 +169,7 @@ struct MetricsSnapshot {
   struct HistogramValue {
     std::string name;
     Labels labels;
-    support::LatencyHistogram::Snapshot hist;
+    Histogram::Snapshot hist;
   };
 
   std::vector<CounterValue> counters;
@@ -156,11 +205,14 @@ class MetricsRegistry {
 
   Counter& counter(const std::string& name, Labels labels = {});
   Gauge& gauge(const std::string& name, Labels labels = {});
-  Histogram& histogram(const std::string& name, Labels labels = {});
+  /// `unit` is fixed by the first registration; asking for the same
+  /// instance with another unit throws std::invalid_argument.
+  Histogram& histogram(const std::string& name, Labels labels = {},
+                       Histogram::Unit unit = Histogram::Unit::kSeconds);
 
   /// Consistent-enough copy for reporting (same contract as
-  /// LatencyHistogram::snapshot: per-metric reads are atomic,
-  /// cross-metric skew of in-flight updates is acceptable).
+  /// Histogram::snapshot: per-metric reads are atomic, cross-metric
+  /// skew of in-flight updates is acceptable).
   MetricsSnapshot snapshot() const;
 
   /// Number of registered metric instances across all kinds.
@@ -174,9 +226,11 @@ class MetricsRegistry {
     Metric metric;
   };
 
-  template <typename Metric>
+  /// `init` runs on a newly registered metric, under the mutex.
+  template <typename Metric, typename Init>
   Metric& find_or_register(std::deque<Entry<Metric>>& entries,
-                           const std::string& name, Labels&& labels);
+                           const std::string& name, Labels&& labels,
+                           Init init);
 
   mutable std::mutex mu_;
   // Deques: registration never moves an already-handed-out handle.

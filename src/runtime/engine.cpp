@@ -41,7 +41,6 @@ InferenceEngine::InferenceEngine(EngineOptions options)
       stats_(obs::metrics_of(options.sink)),
       queue_(options.queue_capacity) {
   throw_if_error(options_.validate());
-  if (options_.start_paused) queue_.pause();
   stats_.queue_capacity.set(static_cast<double>(options_.queue_capacity));
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
@@ -170,9 +169,10 @@ void InferenceEngine::worker_loop() {
       batch.push_back(next);
     }
     stats_.queue_depth.set(static_cast<double>(queue_.size()));
+    // A whole request can overshoot max_batch; that batch is full.
     stats_.batch_occupancy.record(
-        static_cast<double>(sample_count) /
-        static_cast<double>(options_.max_batch));
+        std::min(1.0, static_cast<double>(sample_count) /
+                          static_cast<double>(options_.max_batch)));
 
     // Group by model snapshot (pointer identity — a hot-swap installs a
     // new snapshot, so mixed traffic around a swap splits cleanly) in

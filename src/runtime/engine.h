@@ -60,10 +60,6 @@ struct EngineOptions {
   /// engine answers at near-zero added latency while a loaded one waits
   /// long enough to fill its batch.  0 disables lingering.
   double max_wait_seconds = 500e-6;
-  /// Start with workers parked; traffic is admitted (and backpressure
-  /// applies) but nothing scores until resume().  Deterministic testing
-  /// and warm-start hook.
-  bool start_paused = false;
 
   /// Observability seam (may be null = self-contained).  When
   /// `sink->metrics` is set the engine binds its RuntimeStats handles

@@ -18,7 +18,8 @@ RuntimeStats::RuntimeStats(obs::MetricsRegistry* registry)
       queue_wait(registry_->histogram("runtime.queue_wait")),
       batch_execute(registry_->histogram("runtime.batch_execute")),
       request_total(registry_->histogram("runtime.request_total")),
-      batch_occupancy(registry_->histogram("runtime.batch_occupancy")),
+      batch_occupancy(registry_->histogram("runtime.batch_occupancy", {},
+                                           obs::Histogram::Unit::kRatio)),
       mean_batch_size_gauge_(
           registry_->gauge("runtime.mean_batch_size")) {}
 

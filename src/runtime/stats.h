@@ -2,7 +2,10 @@
 //
 // One RuntimeStats block lives in the engine; submit paths and workers
 // update it through lock-free registry handles (relaxed counters,
-// log-spaced histograms), so telemetry never serializes the hot path.
+// log-linear obs::Histogram buckets), so telemetry never serializes the
+// hot path.  Every histogram here times a duration in seconds except
+// batch_occupancy, which is registered with the ratio unit and renders
+// as a plain fraction.
 // The block either binds into a caller-supplied registry (the
 // EngineOptions::sink seam — engine metrics then export alongside
 // everything else in the process) or owns a private one.  Reports are
@@ -60,7 +63,7 @@ class RuntimeStats {
   obs::Histogram& request_total;  ///< submit -> completion delivered
 
   /// Fill fraction of each formed micro-batch (samples / max_batch,
-  /// in (0, 1]); the adaptive linger's efficiency signal — a
+  /// in (0, 1], unit ratio); the adaptive linger's efficiency signal — a
   /// distribution pinned low under load means batching is not
   /// amortizing, pinned at 1.0 means the queue always fills the batch.
   obs::Histogram& batch_occupancy;

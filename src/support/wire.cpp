@@ -50,22 +50,6 @@ void patch_u32le(std::vector<std::uint8_t>& out, std::size_t offset,
   }
 }
 
-std::uint16_t get_u16le(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
-}
-
-std::uint32_t get_u32le(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64le(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
-
 const std::uint8_t* WireReader::take(std::size_t n) {
   if (!ok_ || n > size_ - pos_) {
     ok_ = false;

@@ -37,10 +37,24 @@ void patch_u32le(std::vector<std::uint8_t>& out, std::size_t offset,
                  std::uint32_t v);
 
 // -- raw-pointer readers (caller owns bounds) --
+// Inline: packing reads one u64 per feature word, and the byte loops
+// compile to single loads.
 
-std::uint16_t get_u16le(const std::uint8_t* p);
-std::uint32_t get_u32le(const std::uint8_t* p);
-std::uint64_t get_u64le(const std::uint8_t* p);
+inline std::uint16_t get_u16le(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
+}
+
+inline std::uint32_t get_u32le(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= std::uint32_t{p[i]} << (8 * i);
+  return v;
+}
+
+inline std::uint64_t get_u64le(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+  return v;
+}
 
 /// Bounds-checked sequential reader over a byte span.  A read past the
 /// end returns 0 (or empty) and latches ok() == false; callers check

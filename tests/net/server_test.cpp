@@ -264,7 +264,8 @@ TEST_F(ServerTest, ConcurrentClientsAccountExactly) {
   EXPECT_EQ(snapshot.counter_value("net.connections_opened"), kClients);
   EXPECT_EQ(snapshot.counter_value("net.connections_closed"), kClients);
   EXPECT_EQ(snapshot.counter_value("net.protocol_errors"), 0u);
-  EXPECT_EQ(metrics_.histogram("net.serve_latency").count(),
+  ASSERT_NE(snapshot.find_histogram("net.serve_latency"), nullptr);
+  EXPECT_EQ(snapshot.find_histogram("net.serve_latency")->hist.total_count,
             kClients * kPerClient);
 }
 

@@ -45,6 +45,16 @@ TEST(MetricsJsonTest, HistogramRendersSummaryObject) {
   EXPECT_NE(json.find("\"p50\":"), std::string::npos);
   EXPECT_NE(json.find("\"p99\":"), std::string::npos);
   EXPECT_NE(json.find("\"max\":"), std::string::npos);
+  EXPECT_NE(json.find("\"unit\":\"s\""), std::string::npos);
+}
+
+TEST(MetricsJsonTest, RatioHistogramDeclaresItsUnit) {
+  MetricsRegistry registry;
+  registry.histogram("fill", {}, Histogram::Unit::kRatio).record(0.25);
+  std::ostringstream out;
+  write_metrics_json(out, registry.snapshot());
+  EXPECT_NE(out.str().find("\"unit\":\"ratio\""), std::string::npos);
+  EXPECT_NE(out.str().find("\"max\":0.25"), std::string::npos);
 }
 
 TEST(MetricsJsonTest, DeterministicAcrossRegistrationOrder) {
@@ -112,6 +122,8 @@ TEST(ToTableTest, RendersValueAndHistogramTables) {
   registry.counter("runtime.requests_submitted").add(5);
   registry.gauge("runtime.mean_batch_size").set(2.5);
   registry.histogram("runtime.queue_wait").record(1e-4);
+  registry.histogram("runtime.batch_occupancy", {}, Histogram::Unit::kRatio)
+      .record(0.5);
   const std::string table = to_table(registry.snapshot());
   EXPECT_NE(table.find("runtime.requests_submitted"), std::string::npos);
   EXPECT_NE(table.find("5"), std::string::npos);
@@ -119,6 +131,15 @@ TEST(ToTableTest, RendersValueAndHistogramTables) {
   EXPECT_NE(table.find("2.5"), std::string::npos);
   EXPECT_NE(table.find("runtime.queue_wait"), std::string::npos);
   EXPECT_NE(table.find("p99"), std::string::npos);
+  EXPECT_NE(table.find("100.0us"), std::string::npos);  // a duration
+  // The ratio row renders plain numbers: no "us", "ms" or "s" suffix.
+  const std::string name = "runtime.batch_occupancy";
+  const std::size_t at = table.find(name);
+  ASSERT_NE(at, std::string::npos);
+  const std::string row =
+      table.substr(at + name.size(), table.find('\n', at) - at - name.size());
+  EXPECT_NE(row.find("0.5"), std::string::npos);
+  EXPECT_EQ(row.find('s'), std::string::npos) << row;
 }
 
 TEST(ToTableTest, EmptySnapshotStillRendersHeader) {

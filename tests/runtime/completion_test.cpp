@@ -160,8 +160,8 @@ TEST(CompletionLifecycleTest, ShutdownDrainDeliversEveryBlockExactlyOnce) {
     RequestPool pool;
     // One worker: drain order is then admission order, which lets the
     // cross-check below pair result i with sample i.
-    InferenceEngine engine({.workers = 1, .queue_capacity = 64,
-                            .start_paused = true});
+    InferenceEngine engine({.workers = 1, .queue_capacity = 64});
+    engine.pause();
     std::set<RequestBlock*> submitted;
     for (const Vector& x : xs) {
       RequestBlock* block = make_block(pool, queue, model, x);
@@ -204,7 +204,8 @@ TEST(CompletionLifecycleTest, HotSwapMidBatchScoresAgainstSubmittedSnapshot) {
     auto queue = std::make_shared<CompletionQueue>();
     RequestPool pool;
     InferenceEngine engine({.workers = 2, .queue_capacity = 64,
-                            .max_batch = 8, .start_paused = true});
+                            .max_batch = 8});
+    engine.pause();
     std::size_t admitted = 0;
     for (std::size_t i = 0; i < xs.size(); ++i) {
       if (i == xs.size() / 2) {
@@ -246,8 +247,8 @@ TEST(CompletionLifecycleTest, QueueFullRejectionNeverCompletes) {
   {
     auto queue = std::make_shared<CompletionQueue>();
     RequestPool pool;
-    InferenceEngine engine({.workers = 1, .queue_capacity = 3,
-                            .start_paused = true});
+    InferenceEngine engine({.workers = 1, .queue_capacity = 3});
+    engine.pause();
     for (int i = 0; i < 3; ++i) {
       ASSERT_EQ(engine.submit(make_block(pool, queue, model, xs[i])),
                 SubmitStatus::kAccepted);
@@ -313,8 +314,8 @@ TEST(CompletionLifecycleTest, ConsumerTeardownMidFlightLeaksNothing) {
   const auto model = registry.install("m", random_classifier(4, rng));
   const auto xs = random_samples(16, 4, rng);
   {
-    InferenceEngine engine({.workers = 1, .queue_capacity = 32,
-                            .start_paused = true});
+    InferenceEngine engine({.workers = 1, .queue_capacity = 32});
+    engine.pause();
     {
       auto queue = std::make_shared<CompletionQueue>();
       RequestPool pool;

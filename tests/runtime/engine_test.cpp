@@ -134,8 +134,8 @@ TEST(InferenceEngineTest, QueueFullReturnsDocumentedRejectionStatus) {
   const auto model = registry.install("m", random_classifier(4, rng));
   // Parked workers: admission (and backpressure) is live, scoring is not,
   // so filling the queue is deterministic.
-  InferenceEngine engine({.workers = 1, .queue_capacity = 3,
-                          .start_paused = true});
+  InferenceEngine engine({.workers = 1, .queue_capacity = 3});
+  engine.pause();
   const Vector x{0.5, -0.5, 1.0, 0.0};
   std::vector<Submission> held;
   for (int i = 0; i < 3; ++i) {
@@ -202,8 +202,8 @@ TEST(InferenceEngineTest, ShutdownDrainsInFlightRequests) {
   {
     // Parked engine: everything we admit is still queued when shutdown
     // begins, so the drain path itself must fulfill the promises.
-    InferenceEngine engine({.workers = 2, .queue_capacity = 64,
-                            .start_paused = true});
+    InferenceEngine engine({.workers = 2, .queue_capacity = 64});
+    engine.pause();
     const auto xs = random_samples(32, 6, rng);
     for (const Vector& x : xs) {
       auto sub = engine.submit(model, x);
@@ -285,6 +285,29 @@ TEST(InferenceEngineTest, StatsReportRenders) {
   EXPECT_NE(snap.find_gauge("runtime.queue_depth"), nullptr);
   EXPECT_DOUBLE_EQ(snap.gauge_value("runtime.queue_capacity"),
                    static_cast<double>(EngineOptions{}.queue_capacity));
+}
+
+// Batch occupancy is a ratio in (0, 1]: a request that overshoots
+// max_batch (requests ride whole) fills its batch, it does not overfill it.
+TEST(InferenceEngineTest, BatchOccupancyIsARatioCappedAtOne) {
+  support::Rng rng(14);
+  ModelRegistry registry;
+  const auto model = registry.install("m", random_classifier(4, rng));
+  InferenceEngine engine({.workers = 1, .max_batch = 4});
+  for (const std::size_t n : {std::size_t{2}, std::size_t{10}}) {
+    auto sub = engine.submit(model, random_samples(n, 4, rng));
+    ASSERT_EQ(sub.status, SubmitStatus::kAccepted);
+    (void)sub.result.get();
+  }
+  const obs::MetricsSnapshot snap = engine.stats().snapshot();
+  const auto* occupancy = snap.find_histogram("runtime.batch_occupancy");
+  ASSERT_NE(occupancy, nullptr);
+  EXPECT_EQ(occupancy->hist.unit, obs::Histogram::Unit::kRatio);
+  EXPECT_EQ(occupancy->hist.total_count, 2u);
+  EXPECT_DOUBLE_EQ(occupancy->hist.max_seconds, 1.0);
+  EXPECT_GT(occupancy->hist.quantile(0.5), 0.5);  // the 0.5 bucket's edge
+  EXPECT_LT(occupancy->hist.quantile(0.5), 0.52);
+  EXPECT_DOUBLE_EQ(occupancy->hist.mean(), 0.75);
 }
 
 TEST(InferenceEngineTest, StatsBindIntoExternalRegistry) {
