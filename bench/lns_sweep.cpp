@@ -12,8 +12,8 @@
 //
 // Errors are measured on a held-out test set through each backend's
 // datapath (eval::ExperimentConfig::datapath); power comes from
-// hw::PowerModel's per-backend rules.  Two comparisons are printed and
-// written to BENCH_lns.json:
+// hw::PowerModel's per-backend rules.  Two comparisons are printed (and
+// written as JSON with `--out FILE`, e.g. BENCH_lns.json):
 //
 //   iso-width      at the same W: LNS power saving vs accuracy delta
 //   iso-accuracy   for each LNS row, the cheapest fixed-point W whose
@@ -26,11 +26,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "report.h"
 #include "data/bci_synthetic.h"
 #include "data/ecg_synthetic.h"
 #include "data/synthetic.h"
@@ -47,7 +48,7 @@ using namespace ldafp;
 
 struct Options {
   bool smoke = false;
-  std::string out_path = "BENCH_lns.json";
+  std::string out_path;  // empty: no JSON file
   std::size_t synthetic_per_class = 400;
   std::size_t ecg_per_class = 300;
   std::size_t bci_trials_per_class = 70;
@@ -234,12 +235,8 @@ int main(int argc, char** argv) {
   std::printf("\nLNS wins power-at-iso-accuracy on %zu of %zu rows.\n",
               lns_wins, pareto.size());
 
-  std::ofstream out_file(opts.out_path);
-  if (!out_file) {
-    std::fprintf(stderr, "error: cannot write %s\n", opts.out_path.c_str());
-    return 1;
-  }
-  support::JsonWriter json(out_file);
+  std::ostringstream report;
+  support::JsonWriter json(report);
   json.begin_object();
   json.kv("bench", "lns_sweep");
   json.kv("smoke", opts.smoke);
@@ -279,7 +276,6 @@ int main(int argc, char** argv) {
   json.end_array();
   json.kv("lns_iso_accuracy_wins", static_cast<std::uint64_t>(lns_wins));
   json.end_object();
-  out_file << "\n";
-  std::printf("Wrote %s\n", opts.out_path.c_str());
+  if (!bench::write_report(opts.out_path, report.str())) return 1;
   return 0;
 }

@@ -16,18 +16,19 @@
 // Accounting is exact, in the serve_load.cpp style: every round-trip
 // bit-identical, every read scored exactly once, reader-observed
 // versions monotone, and final registry version == bootstrap +
-// promotions.  Non-zero exit on any violation.  Writes BENCH_model.json
-// (--out overrides); `--smoke` runs reduced counts for CI.
+// promotions.  Non-zero exit on any violation.  `--out FILE` writes the
+// results as JSON; `--smoke` runs reduced counts for CI.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "report.h"
 #include "model/model_io.h"
 #include "model/retrainer.h"
 #include "runtime/registry.h"
@@ -45,7 +46,7 @@ using linalg::Vector;
 
 struct Options {
   bool smoke = false;
-  std::string out_path = "BENCH_model.json";
+  std::string out_path;  // empty: no JSON file
   std::size_t encode_iters = 20000;
   std::size_t file_iters = 200;
   std::size_t stream_samples = 200000;
@@ -312,12 +313,8 @@ int main(int argc, char** argv) {
   table.add_row({"accounting", accounting_ok ? "exact" : "VIOLATED"});
   std::fputs(table.to_string().c_str(), stdout);
 
-  std::ofstream out_file(opts.out_path);
-  if (!out_file) {
-    std::fprintf(stderr, "error: cannot write %s\n", opts.out_path.c_str());
-    return 1;
-  }
-  support::JsonWriter json(out_file);
+  std::ostringstream report;
+  support::JsonWriter json(report);
   json.begin_object();
   json.kv("bench", "model_lifecycle");
   json.kv("smoke", opts.smoke);
@@ -355,7 +352,7 @@ int main(int argc, char** argv) {
   json.end_object();
   json.kv("failures", failures);
   json.end_object();
-  std::printf("\nwrote %s\n", opts.out_path.c_str());
+  if (!bench::write_report(opts.out_path, report.str())) return 1;
 
   if (failures != 0) {
     std::fprintf(stderr, "FAILED: %llu accounting violations\n",

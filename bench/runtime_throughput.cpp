@@ -23,17 +23,19 @@
 //     single core it pays queue/promise overhead with no parallelism to
 //     earn it back, and the printed core count says so.
 //
-// Results stream to BENCH_runtime.json (see README for the schema).
+// `--out FILE` writes the results as JSON (see README for the schema);
+// without it nothing is written.
 // `--smoke` shrinks the sample count and skips the 4x gate (identity is
 // still asserted); CI runs the smoke mode on every push.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "report.h"
 #include "core/classifier.h"
 #include "fixed/simd.h"
 #include "obs/export.h"
@@ -105,7 +107,7 @@ double measure_packed_rate(const runtime::BatchScorer& scorer,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string out_path = "BENCH_runtime.json";
+  std::string out_path;  // empty: no JSON file
   long long requested = -1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -142,12 +144,8 @@ int main(int argc, char** argv) {
               traffic.size(), clf.dim(), clf.format().to_string().c_str(),
               simd::to_string(best), cores, workers);
 
-  std::ofstream out_file(out_path);
-  if (!out_file) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 2;
-  }
-  support::JsonWriter json(out_file);
+  std::ostringstream report;
+  support::JsonWriter json(report);
   json.begin_object();
   json.kv("bench", "runtime_throughput");
   json.kv("smoke", smoke);
@@ -351,6 +349,7 @@ int main(int argc, char** argv) {
   json.kv("wide_simd_speedup", wide_simd_speedup);
   json.kv("all_bit_exact", all_bit_exact);
   json.end_object();
+  if (!bench::write_report(out_path, report.str())) return 2;
 
   if (!all_bit_exact) {
     std::fprintf(stderr,

@@ -19,7 +19,7 @@
 // the classifier evaluated locally — a million-request bit-identity
 // check of the whole transport.  Latency records into ldafp_obs
 // histograms ("load.latency{phase=...}", p50/p99/p999 in the export),
-// and the run writes BENCH_serve.json in the BENCH_solver.json style:
+// and `--out FILE` writes the run as JSON in the BENCH_solver.json style:
 // per-phase throughput, the client-side histograms, the server's full
 // "net.* + runtime.*" snapshot, and the accounting block.  Exit status
 // is non-zero unless accounting is exact: sent == ok + rejected, zero
@@ -30,12 +30,13 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "report.h"
 #include "core/format_policy.h"
 #include "core/lda.h"
 #include "data/synthetic.h"
@@ -55,7 +56,7 @@ using namespace ldafp;
 
 struct Options {
   bool smoke = false;
-  std::string out_path = "BENCH_serve.json";
+  std::string out_path;  // empty: no JSON file
   std::size_t connections = 128;
   std::size_t requests_per_conn = 8192;  // 128 * 8192 = 1,048,576
   std::size_t window = 16;  // 128 * 16 = 2048 in flight < queue
@@ -540,13 +541,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(all.route_errors),
               static_cast<unsigned long long>(burst.rejected));
 
-  std::ofstream out_file(opts.out_path);
-  if (!out_file) {
-    std::fprintf(stderr, "cannot open %s for writing\n",
-                 opts.out_path.c_str());
-    return 2;
-  }
-  support::JsonWriter json(out_file);
+  std::ostringstream report;
+  support::JsonWriter json(report);
   json.begin_object();
   json.kv("bench", "serve_load");
   json.kv("smoke", opts.smoke);
@@ -589,8 +585,7 @@ int main(int argc, char** argv) {
   json.kv("backpressure_seen", backpressure_seen);
   json.end_object();
   json.end_object();
-  out_file << '\n';
-  std::printf("wrote %s\n", opts.out_path.c_str());
+  if (!bench::write_report(opts.out_path, report.str())) return 2;
 
   if (!exact || !clean || !backpressure_seen) {
     std::fprintf(stderr, "serve_load FAILED: exact=%d clean=%d "

@@ -11,7 +11,8 @@
 // bitwise; grid rounding makes them identical on these problems even
 // though interior relaxation trajectories differ.
 //
-// Results stream to BENCH_solver.json (see README for the schema).
+// `--out FILE` writes the results as JSON (see README for the schema);
+// without it nothing is written.
 // `--smoke` shrinks the budgets for CI and exits non-zero when the warm
 // configuration is more than 10% slower than cold (a hot-path
 // regression); the full run targets the >= 1.5x geometric-mean speedup
@@ -20,10 +21,11 @@
 #include <cstdio>
 #include <cstring>
 #include <cstdlib>
-#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "report.h"
 #include "core/format_policy.h"
 #include "core/ldafp.h"
 #include "data/bci_synthetic.h"
@@ -113,7 +115,7 @@ void write_run(support::JsonWriter& json, const char* name,
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string out_path = "BENCH_solver.json";
+  std::string out_path;  // empty: no JSON file
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -159,12 +161,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream out_file(out_path);
-  if (!out_file) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 2;
-  }
-  support::JsonWriter json(out_file);
+  std::ostringstream report;
+  support::JsonWriter json(report);
   json.begin_object();
   json.kv("bench", "solver_hotpath");
   json.kv("smoke", smoke);
@@ -237,15 +235,13 @@ int main(int argc, char** argv) {
   json.kv("geomean_speedup", geomean);
   json.kv("all_identical", all_identical);
   json.end_object();
-  out_file << '\n';
-  out_file.close();
 
   std::printf("Barrier-solver hot path: warm starts + shared structure + "
               "workspace vs cold baseline\n\n%s\n",
               table.to_string().c_str());
-  std::printf("geometric-mean speedup: %.2fx; results identical: %s; "
-              "wrote %s\n",
-              geomean, all_identical ? "yes" : "NO", out_path.c_str());
+  std::printf("geometric-mean speedup: %.2fx; results identical: %s\n",
+              geomean, all_identical ? "yes" : "NO");
+  if (!bench::write_report(out_path, report.str())) return 2;
 
   if (smoke && geomean < 0.9) {
     std::fprintf(stderr,

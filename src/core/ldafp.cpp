@@ -100,6 +100,8 @@ class LdaFpSearchProblem : public opt::BnbProblem {
         static_cast<std::uint64_t>(solve.newton_iterations);
     out.stats.factorizations =
         static_cast<std::uint64_t>(solve.factorizations);
+    out.stats.line_search_trials =
+        static_cast<std::uint64_t>(solve.line_search_trials);
     out.stats.phase1_skips = solve.phase1_skipped ? 1 : 0;
     if (solve.status == opt::SolveStatus::kInfeasible) {
       out.lower = kInf;
@@ -115,7 +117,7 @@ class LdaFpSearchProblem : public opt::BnbProblem {
     // minimizer is independent of η, so reuse it — round to the grid and
     // evaluate the exact cost.
     if (solve.x.size() == dim_) {
-      const auto cand = try_candidate(solve.x);
+      const auto cand = try_candidate(solve.x, &out.stats);
       if (cand.has_value()) {
         out.candidate = cand->first;
         out.candidate_value = cand->second;
@@ -236,9 +238,10 @@ class LdaFpSearchProblem : public opt::BnbProblem {
 
   /// Rounds a relaxation point to the grid, repairs it into the Eq. 18
   /// intervals, verifies full feasibility, optionally polishes, and
-  /// returns (w, exact cost).
+  /// returns (w, exact cost).  The polish's exact-cost count is added to
+  /// `stats` when given.
   std::optional<std::pair<linalg::Vector, double>> try_candidate(
-      const linalg::Vector& x) const {
+      const linalg::Vector& x, opt::NodeStats* stats = nullptr) const {
     linalg::Vector w = fixed::snap_to_grid(x, fmt_, options_.rounding);
     // Orient toward class A: the Fisher cost is invariant under w -> -w,
     // but the Eq. 12 decision rule needs t = (μ_A-μ_B)ᵀw > 0.  The search
@@ -261,6 +264,9 @@ class LdaFpSearchProblem : public opt::BnbProblem {
     if (options_.local_search) {
       const auto polished = polish(w, sw_, model_, beta_, fmt_,
                                    options_.local_search_options);
+      if (polished.has_value() && stats != nullptr) {
+        stats->polish_exact_evals += polished->exact_evals;
+      }
       if (polished.has_value() && polished->cost < cost) {
         w = polished->weights;
         cost = polished->cost;

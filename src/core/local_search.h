@@ -7,8 +7,14 @@
 // constraints stay satisfied.  This typically closes most of the gap
 // between the rounded relaxation solution and the true discrete optimum,
 // letting branch-and-bound prune far earlier.
+//
+// Each candidate move is first screened in O(1) against the incumbent
+// cost from a cached S_W·w, wᵀS_W w and dᵀw (DESIGN.md §10); only moves
+// the rounding-error-bounded screen cannot rule out are costed exactly,
+// so the result is the same as costing every move exactly.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "core/constraints.h"
@@ -32,6 +38,8 @@ struct LocalSearchResult {
   double cost = 0.0;
   int sweeps = 0;
   int moves = 0;
+  /// Candidate moves costed exactly (the ones the screen let through).
+  std::uint64_t exact_evals = 0;
 };
 
 /// Exact LDA-FP cost wᵀ S_W w / ((μ_A-μ_B)ᵀ w)² with +inf at t = 0.

@@ -29,38 +29,31 @@ Box inflate_box(const Box& box, double min_width) {
   return out;
 }
 
-/// Cached per-SOC-constraint scalars at a point; the Σw vector lands in
-/// the caller-supplied buffer so repeated evaluations stay off the heap.
-struct SocEval {
-  double residual;  // g(w)
-  double root;      // sqrt(wᵀΣw + eps)
-};
+using Cone = SolverWorkspace::Cone;
 
-SocEval eval_soc(const SocConstraint& s, const linalg::Vector& w,
-                 linalg::Vector& sigma_w) {
-  SocEval out;
+/// Evaluates SOC constraint `s` at w into `out`; Σw lands in the cone's
+/// own buffer, so repeated evaluations stay off the heap.
+void eval_soc(const SocConstraint& s, const linalg::Vector& w, Cone& out) {
   const double quad =
-      std::max(linalg::sym_matvec_quad(s.sigma, w, sigma_w), 0.0);
+      std::max(linalg::sym_matvec_quad(s.sigma, w, out.sigma_w), 0.0);
   out.root = std::sqrt(quad + s.eps);
   out.residual = s.beta * out.root + linalg::dot(s.c, w) - s.d;
-  return out;
 }
 
-/// Gradient of the SOC residual from cached pieces, into `g`.
-void soc_gradient(const SocConstraint& s, const SocEval& e,
-                  const linalg::Vector& sigma_w, linalg::Vector& g) {
-  g = sigma_w;
+/// Gradient of the SOC residual from an evaluated cone, into `g`.
+void soc_gradient(const SocConstraint& s, const Cone& e, linalg::Vector& g) {
+  g = e.sigma_w;
   g *= s.beta / e.root;
   g += s.c;
 }
 
 /// Adds (grad grad')/r² + Hg/r to `hess`, where r = -residual (phase II)
 /// or s - residual (phase I), and Hg is the SOC residual Hessian.
-void add_soc_barrier_hessian(const SocConstraint& s, const SocEval& e,
-                             const linalg::Vector& sigma_w,
+void add_soc_barrier_hessian(const SocConstraint& s, const Cone& e,
                              const linalg::Vector& grad, double r,
                              linalg::Matrix& hess) {
   const std::size_t n = grad.size();
+  const linalg::Vector& sigma_w = e.sigma_w;
   const double inv_r = 1.0 / r;
   const double inv_r2 = inv_r * inv_r;
   const double a = s.beta / e.root * inv_r;               // Σ scale
@@ -114,15 +107,16 @@ int newton_direction(const linalg::Matrix& hess, const linalg::Vector& grad,
 }
 
 /// Max constraint residual at w against the problem's *original* box
-/// (mirrors ConvexProblem::max_residual; scratch keeps it off the heap).
+/// (mirrors ConvexProblem::max_residual; `probe` keeps it off the heap).
 double max_residual_ws(const ConvexProblem& p, const linalg::Vector& w,
-                       linalg::Vector& scratch) {
+                       Cone& probe) {
   double worst = -kInf;
   for (std::size_t i = 0; i < p.linear().size(); ++i) {
     worst = std::max(worst, linalg::dot(p.linear()[i].a, w) - p.linear_rhs(i));
   }
   for (const auto& soc : p.soc()) {
-    worst = std::max(worst, eval_soc(soc, w, scratch).residual);
+    eval_soc(soc, w, probe);
+    worst = std::max(worst, probe.residual);
   }
   const Box& box = p.box();
   for (std::size_t m = 0; m < box.size(); ++m) {
@@ -141,8 +135,10 @@ struct Phase2Eval {
   double value = kInf;    // barrier function value
 };
 
+/// Barrier value at w.  Each cone's evaluation lands in `cones`; when the
+/// result is feasible they are all current for w.
 Phase2Eval eval_phase2(const ConvexProblem& p, const Box& box, double t,
-                       const linalg::Vector& w, linalg::Vector& scratch) {
+                       const linalg::Vector& w, std::vector<Cone>& cones) {
   Phase2Eval out;
   double barrier = 0.0;
   for (std::size_t i = 0; i < p.linear().size(); ++i) {
@@ -150,8 +146,9 @@ Phase2Eval eval_phase2(const ConvexProblem& p, const Box& box, double t,
     if (g >= 0.0) return out;
     barrier -= std::log(-g);
   }
-  for (const auto& soc : p.soc()) {
-    const double g = eval_soc(soc, w, scratch).residual;
+  for (std::size_t j = 0; j < p.soc().size(); ++j) {
+    eval_soc(p.soc()[j], w, cones[j]);
+    const double g = cones[j].residual;
     if (g >= 0.0) return out;
     barrier -= std::log(-g);
   }
@@ -173,11 +170,10 @@ Phase2Eval eval_phase2(const ConvexProblem& p, const Box& box, double t,
 /// Runs phase I inside the workspace.  On success (true) ws.w holds a
 /// strictly feasible point; false means no such point was found within
 /// the iteration budget (treated as infeasible by the caller, matching
-/// the certified-prune semantics).  Counters accumulate into the
-/// caller's totals.
+/// the certified-prune semantics).  Counters accumulate into `counts`.
 bool run_phase1(const ConvexProblem& problem, const Box& box,
                 const BarrierOptions& options, SolverWorkspace& ws,
-                int& total_newton, int& total_factorizations) {
+                BarrierResult& counts) {
   const std::size_t n = problem.dim();
   const std::size_t n_ineq = problem.linear().size() + problem.soc().size();
 
@@ -186,7 +182,7 @@ bool run_phase1(const ConvexProblem& problem, const Box& box,
   if (n_ineq == 0) return true;  // box interior is all we need
 
   // Slack above the worst violation keeps every log argument positive.
-  double s = max_residual_ws(problem, w, ws.scratch) + 1.0;
+  double s = max_residual_ws(problem, w, ws.probe) + 1.0;
   // The box residuals are <= 0 at the center; only linear/SOC matter for s.
 
   const auto count = static_cast<double>(n_ineq);
@@ -203,7 +199,8 @@ bool run_phase1(const ConvexProblem& problem, const Box& box,
       value -= std::log(margin);
     }
     for (const auto& soc : problem.soc()) {
-      const double margin = ss - eval_soc(soc, ww, ws.scratch).residual;
+      eval_soc(soc, ww, ws.probe);
+      const double margin = ss - ws.probe.residual;
       if (margin <= 0.0) return kInf;
       value -= std::log(margin);
     }
@@ -223,11 +220,11 @@ bool run_phase1(const ConvexProblem& problem, const Box& box,
     for (int iter = 0; iter < options.max_newton_per_stage; ++iter) {
       if (phase_newton >= options.max_total_newton) break;
       ++phase_newton;
-      ++total_newton;
+      ++counts.newton_iterations;
 
       // Early success: comfortably below zero violation.
       if (s < -10.0 * options.feasibility_margin &&
-          max_residual_ws(problem, w, ws.scratch) <
+          max_residual_ws(problem, w, ws.probe) <
               -options.feasibility_margin) {
         return true;
       }
@@ -260,10 +257,11 @@ bool run_phase1(const ConvexProblem& problem, const Box& box,
       }
       for (std::size_t j = 0; j < problem.soc().size(); ++j) {
         const SocConstraint& soc = problem.soc()[j];
-        linalg::Vector& sigma_w = ws.sigma_w[j];
-        const SocEval e = eval_soc(soc, w, sigma_w);
+        Cone& e = ws.cones[j];
+        eval_soc(soc, w, e);
+        const linalg::Vector& sigma_w = e.sigma_w;
         const double margin = s - e.residual;
-        soc_gradient(soc, e, sigma_w, ws.soc_grad);
+        soc_gradient(soc, e, ws.soc_grad);
         add_constraint(ws.soc_grad, margin);
         // Curvature of the SOC residual itself.
         const double a = soc.beta / e.root / margin;
@@ -283,7 +281,7 @@ bool run_phase1(const ConvexProblem& problem, const Box& box,
         hess(mm, mm) += 1.0 / (lo_gap * lo_gap) + 1.0 / (hi_gap * hi_gap);
       }
 
-      total_factorizations += newton_direction(hess, grad, ws.factor1, ws.dz);
+      counts.factorizations += newton_direction(hess, grad, ws.factor1, ws.dz);
       const linalg::Vector& dz = ws.dz;
       const double decrement_sq = -linalg::dot(grad, dz);
       if (decrement_sq * 0.5 <= options.newton_tol) break;
@@ -296,6 +294,7 @@ bool run_phase1(const ConvexProblem& problem, const Box& box,
         cand = w;
         for (std::size_t i = 0; i < n; ++i) cand[i] += alpha * dz[i];
         const double cand_s = s + alpha * dz[n];
+        ++counts.line_search_trials;
         const double trial = barrier_value(cand, cand_s);
         if (trial <= here - 1e-4 * alpha * decrement_sq) {
           std::swap(w, cand);
@@ -309,7 +308,7 @@ bool run_phase1(const ConvexProblem& problem, const Box& box,
     }
 
     // Converged for this t: feasible iff s is negative.
-    if (max_residual_ws(problem, w, ws.scratch) <
+    if (max_residual_ws(problem, w, ws.probe) <
         -options.feasibility_margin) {
       return true;
     }
@@ -379,11 +378,13 @@ void SolverWorkspace::resize(std::size_t n, std::size_t socs) {
     grad1 = linalg::Vector(n + 1);
     dz = linalg::Vector(n + 1);
     soc_grad = linalg::Vector(n);
-    scratch = linalg::Vector(n);
+    probe.sigma_w = linalg::Vector(n);
   }
-  if (sigma_w.size() < socs) sigma_w.resize(socs);
-  for (auto& v : sigma_w) {
-    if (v.size() != n) v = linalg::Vector(n);
+  for (std::vector<Cone>* set : {&cones, &trial_cones}) {
+    if (set->size() < socs) set->resize(socs);
+    for (Cone& cone : *set) {
+      if (cone.sigma_w.size() != n) cone.sigma_w = linalg::Vector(n);
+    }
   }
 }
 
@@ -420,22 +421,18 @@ BarrierResult BarrierSolver::solve(
 
   BarrierResult result;
   result.lower_bound = -kInf;
-  int total_newton = 0;
-  int total_factorizations = 0;
 
-  // Obtain a strictly feasible start in ws.w.
+  // Obtain a strictly feasible start in ws.w.  A feasible warm-start check
+  // leaves every cone evaluated at the start point.
   if (warm_start.has_value() &&
-      eval_phase2(problem, box, 1.0, *warm_start, ws.scratch).feasible) {
+      eval_phase2(problem, box, 1.0, *warm_start, ws.cones).feasible) {
     ws.w = *warm_start;
     result.phase1_skipped = true;
   } else {
-    if (!run_phase1(problem, box, options_, ws, total_newton,
-                    total_factorizations)) {
+    if (!run_phase1(problem, box, options_, ws, result)) {
       result.status = SolveStatus::kInfeasible;
       result.lower_bound = kInf;  // infeasible node: prune unconditionally
       result.objective = kInf;
-      result.newton_iterations = total_newton;
-      result.factorizations = total_factorizations;
       return result;
     }
   }
@@ -447,6 +444,12 @@ BarrierResult BarrierSolver::solve(
                  : options_.initial_t;
   int phase2_newton = 0;
   bool hit_iteration_limit = false;
+  // Evaluations already made at the current iterate, reused bit-for-bit:
+  // ws.cones (valid for any t) and the barrier value at t (valid within
+  // one centering stage).  Both live only in this call.
+  bool cones_current = result.phase1_skipped;
+  bool here_current = false;
+  double here = kInf;
 
   while (true) {
     // Newton centering at the current t.
@@ -456,7 +459,7 @@ BarrierResult BarrierSolver::solve(
         break;
       }
       ++phase2_newton;
-      ++total_newton;
+      ++result.newton_iterations;
 
       // Assemble gradient and Hessian of the barrier-augmented objective.
       linalg::sym_matvec_quad(problem.objective_matrix(), w, ws.grad);
@@ -474,13 +477,14 @@ BarrierResult BarrierSolver::solve(
       }
       for (std::size_t j = 0; j < problem.soc().size(); ++j) {
         const SocConstraint& soc = problem.soc()[j];
-        linalg::Vector& sigma_w = ws.sigma_w[j];
-        const SocEval e = eval_soc(soc, w, sigma_w);
+        Cone& e = ws.cones[j];
+        if (!cones_current) eval_soc(soc, w, e);
         const double r = -e.residual;
-        soc_gradient(soc, e, sigma_w, ws.soc_grad);
+        soc_gradient(soc, e, ws.soc_grad);
         grad.axpy(1.0 / r, ws.soc_grad);
-        add_soc_barrier_hessian(soc, e, sigma_w, ws.soc_grad, r, hess);
+        add_soc_barrier_hessian(soc, e, ws.soc_grad, r, hess);
       }
+      cones_current = true;
       for (std::size_t mm = 0; mm < n; ++mm) {
         const double lo_gap = w[mm] - box[mm].lo;
         const double hi_gap = box[mm].hi - w[mm];
@@ -488,24 +492,32 @@ BarrierResult BarrierSolver::solve(
         hess(mm, mm) += 1.0 / (lo_gap * lo_gap) + 1.0 / (hi_gap * hi_gap);
       }
 
-      total_factorizations += newton_direction(hess, grad, ws.factor, ws.dx);
+      result.factorizations +=
+          newton_direction(hess, grad, ws.factor, ws.dx);
       const linalg::Vector& dx = ws.dx;
       const double decrement_sq = -linalg::dot(grad, dx);
       if (decrement_sq * 0.5 <= options_.newton_tol) break;
 
-      // Backtracking line search keeping strict feasibility.
-      const Phase2Eval here = eval_phase2(problem, box, t, w, ws.scratch);
+      // Backtracking line search keeping strict feasibility.  The trial
+      // evaluations land in ws.trial_cones (scratch until accepted).
+      if (!here_current) {
+        here = eval_phase2(problem, box, t, w, ws.trial_cones).value;
+      }
       double alpha = 1.0;
       bool stepped = false;
       for (int ls = 0; ls < 60; ++ls) {
         linalg::Vector& cand = ws.cand;
         cand = w;
         cand.axpy(alpha, dx);
+        ++result.line_search_trials;
         const Phase2Eval trial =
-            eval_phase2(problem, box, t, cand, ws.scratch);
+            eval_phase2(problem, box, t, cand, ws.trial_cones);
         if (trial.feasible &&
-            trial.value <= here.value - 1e-4 * alpha * decrement_sq) {
+            trial.value <= here - 1e-4 * alpha * decrement_sq) {
           std::swap(w, cand);
+          std::swap(ws.cones, ws.trial_cones);
+          here = trial.value;
+          here_current = true;
           stepped = true;
           break;
         }
@@ -517,6 +529,7 @@ BarrierResult BarrierSolver::solve(
     result.duality_gap = m / t;
     if (hit_iteration_limit || result.duality_gap <= options_.gap_tol) break;
     t *= options_.mu;
+    here_current = false;
   }
 
   result.x = w;
@@ -526,8 +539,6 @@ BarrierResult BarrierSolver::solve(
   // imperfect centering.
   result.lower_bound =
       result.objective - 2.0 * result.duality_gap - options_.gap_tol;
-  result.newton_iterations = total_newton;
-  result.factorizations = total_factorizations;
   result.status = hit_iteration_limit ? SolveStatus::kIterationLimit
                                       : SolveStatus::kOptimal;
   return result;
@@ -540,9 +551,8 @@ std::optional<linalg::Vector> BarrierSolver::find_strictly_feasible(
   const Box box = inflate_box(problem.box(), options_.min_box_width);
   SolverWorkspace ws;
   ws.resize(problem.dim(), problem.soc().size());
-  int newton = 0;
-  int factorizations = 0;
-  if (!run_phase1(problem, box, options_, ws, newton, factorizations)) {
+  BarrierResult counts;
+  if (!run_phase1(problem, box, options_, ws, counts)) {
     return std::nullopt;
   }
   return ws.w;

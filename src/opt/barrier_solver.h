@@ -80,6 +80,7 @@ struct BarrierResult {
   double lower_bound = 0.0;    ///< certified lower bound on the optimum
   int newton_iterations = 0;   ///< Newton steps, both phases combined
   int factorizations = 0;      ///< Cholesky attempts (jitter retries incl.)
+  int line_search_trials = 0;  ///< backtracking trial points, both phases
   bool phase1_skipped = false; ///< warm start was strictly feasible
   double duality_gap = 0.0;    ///< m/t at exit
 };
@@ -101,9 +102,22 @@ struct SolverWorkspace {
   // Phase I buffers (dimension n+1 for the (w, s) system).
   linalg::Matrix hess1, factor1;
   linalg::Vector grad1, dz;
-  // Per-SOC Σⱼw caches plus generic n-dim scratch (residual evaluations).
-  std::vector<linalg::Vector> sigma_w;
-  linalg::Vector soc_grad, scratch;
+  /// One SOC constraint evaluated at a point: Σⱼw, the root
+  /// sqrt(wᵀΣⱼw + eps) and the residual gⱼ(w).
+  struct Cone {
+    linalg::Vector sigma_w;
+    double root = 0.0;
+    double residual = 0.0;
+  };
+  // Per-SOC evaluations at the iterate (`cones`) and at phase II's latest
+  // line-search trial point (`trial_cones`).  Accepting a trial swaps the
+  // two, so the next Hessian assembly reuses the trial's evaluations
+  // instead of recomputing them.  solve() tracks which ones are current
+  // itself; nothing here is trusted across solve() calls.  `probe` takes
+  // one-off evaluations (residual checks, phase I line search).
+  std::vector<Cone> cones, trial_cones;
+  Cone probe;
+  linalg::Vector soc_grad;
 };
 
 /// The solver.  Stateless apart from options; safe to reuse.

@@ -273,6 +273,10 @@ void publish(const NodeStats& stats, obs::MetricsRegistry& registry,
       .add(stats.newton_iterations);
   registry.counter("solver.factorizations", labels)
       .add(stats.factorizations);
+  registry.counter("solver.line_search_trials", labels)
+      .add(stats.line_search_trials);
+  registry.counter("solver.polish_exact_evals", labels)
+      .add(stats.polish_exact_evals);
 }
 
 void publish(const BnbResult& result, obs::MetricsRegistry& registry,

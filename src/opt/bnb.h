@@ -36,12 +36,17 @@ struct NodeStats {
   std::uint64_t phase1_skips = 0;      ///< solves warm-started past phase I
   std::uint64_t newton_iterations = 0; ///< Newton steps, both phases
   std::uint64_t factorizations = 0;    ///< Cholesky attempts
+  std::uint64_t line_search_trials = 0;  ///< trial points, both phases
+  /// Incumbent-polish moves costed exactly (those the O(1) screen let by).
+  std::uint64_t polish_exact_evals = 0;
 
   NodeStats& operator+=(const NodeStats& o) {
     relaxations += o.relaxations;
     phase1_skips += o.phase1_skips;
     newton_iterations += o.newton_iterations;
     factorizations += o.factorizations;
+    line_search_trials += o.line_search_trials;
+    polish_exact_evals += o.polish_exact_evals;
     return *this;
   }
 };

@@ -202,6 +202,44 @@ TEST(DotTest, FinalOverflowDiagnosticSurvivesWidestLegalFormat) {
   EXPECT_EQ(diag.product_overflows, 8);
 }
 
+// Without a DotDiagnostics the kernels sum modulo 2^64 and wrap once;
+// with one they wrap every step.  Both must return the same word,
+// including on the widest legal formats where every product and the
+// running sum wrap.
+TEST(DotTest, PlainKernelMatchesDiagnosticKernelBitwise) {
+  support::Rng rng(1606);
+  const FixedFormat formats[] = {FixedFormat(2, 6), FixedFormat(4, 4),
+                                 FixedFormat(1, 15), FixedFormat(2, 29),
+                                 FixedFormat(31, 0)};
+  const RoundingMode modes[] = {RoundingMode::kNearestEven,
+                                RoundingMode::kNearestAway,
+                                RoundingMode::kTowardZero,
+                                RoundingMode::kFloor};
+  for (const FixedFormat& fmt : formats) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(0, 64));
+      std::vector<std::int64_t> w(n);
+      std::vector<std::int64_t> x(n);
+      for (std::size_t m = 0; m < n; ++m) {
+        w[m] = rng.uniform_int(fmt.raw_min(), fmt.raw_max());
+        x[m] = rng.uniform_int(fmt.raw_min(), fmt.raw_max());
+      }
+      for (const RoundingMode mode : modes) {
+        for (const AccumulatorMode acc :
+             {AccumulatorMode::kWide, AccumulatorMode::kNarrow}) {
+          DotDiagnostics diag;
+          const std::int64_t with =
+              dot_datapath_raw(w.data(), x.data(), n, fmt, mode, acc, &diag);
+          const std::int64_t plain =
+              dot_datapath_raw(w.data(), x.data(), n, fmt, mode, acc);
+          ASSERT_EQ(plain, with) << fmt.to_string() << " n=" << n << " "
+                                 << to_string(acc);
+        }
+      }
+    }
+  }
+}
+
 TEST(DotTest, QuantizeAndToRealRoundTrip) {
   // The datapath's operand quantizer is exact on representable values.
   const auto dp = make_datapath(DatapathKind::kTwosComplement, kQ44);

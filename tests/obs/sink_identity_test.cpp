@@ -92,6 +92,14 @@ TEST(SinkIdentityTest, TrainingBitIdenticalWithSinkAcrossThreadCounts) {
               reference.search.nodes_processed);
     EXPECT_EQ(snap.counter_value("solver.relaxations"),
               reference.search.solver_stats.relaxations);
+    // bound() fills the line-search and polish counters, and they are as
+    // thread-invariant as the rest.
+    EXPECT_GT(reference.search.solver_stats.line_search_trials, 0u);
+    EXPECT_GT(reference.search.solver_stats.polish_exact_evals, 0u);
+    EXPECT_EQ(snap.counter_value("solver.line_search_trials"),
+              reference.search.solver_stats.line_search_trials);
+    EXPECT_EQ(snap.counter_value("solver.polish_exact_evals"),
+              reference.search.solver_stats.polish_exact_evals);
     EXPECT_GT(tracer.span_count(), 0u);
 
     // ...and the null-sink run at the same thread count agrees too.

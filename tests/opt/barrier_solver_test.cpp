@@ -196,6 +196,88 @@ TEST(BarrierSolverTest, WorkspaceReuseIsBitwiseTransparent) {
   EXPECT_EQ(reused.factorizations, fresh.factorizations);
 }
 
+/// A small relaxation-shaped problem: quadratic objective, a box, one
+/// linear row and two SOC cones whose Σ, c and d move with `shift`, so
+/// two shifts give two different problems of the same shape.  The box
+/// center is strictly feasible by more than 1 for every constraint, so
+/// a cold solve's phase I returns before evaluating any cone and the
+/// first phase-II Hessian assembly is the first to evaluate them.
+ConvexProblem cone_problem(double shift) {
+  ConvexProblem p(Matrix{{2.0, 0.5 + shift}, {0.5 + shift, 1.0}});
+  p.set_box(Box(2, Interval{0.2, 4.2}));
+  p.add_linear({Vector{-1.0, -1.0}, -0.5 - shift});
+  SocConstraint a;
+  a.beta = 1.0 + shift;
+  a.sigma = Matrix{{1.0, 0.2}, {0.2, 0.5}};
+  a.c = Vector{0.3, -0.1};
+  a.d = 6.0;
+  p.add_soc(a);
+  SocConstraint b;
+  b.beta = 0.8;
+  b.sigma = Matrix{{0.6, -0.1 + shift}, {-0.1 + shift, 0.9}};
+  b.c = Vector{-0.2, 0.4};
+  b.d = 5.0 + shift;
+  p.add_soc(b);
+  return p;
+}
+
+void expect_bitwise_equal(const BarrierResult& got, const BarrierResult& want,
+                          const char* label) {
+  ASSERT_EQ(got.status, want.status) << label;
+  ASSERT_EQ(got.x.size(), want.x.size()) << label;
+  for (std::size_t i = 0; i < want.x.size(); ++i) {
+    EXPECT_EQ(got.x[i], want.x[i]) << label << " i=" << i;
+  }
+  EXPECT_EQ(got.objective, want.objective) << label;
+  EXPECT_EQ(got.lower_bound, want.lower_bound) << label;
+  EXPECT_EQ(got.newton_iterations, want.newton_iterations) << label;
+  EXPECT_EQ(got.factorizations, want.factorizations) << label;
+  EXPECT_EQ(got.line_search_trials, want.line_search_trials) << label;
+  EXPECT_EQ(got.phase1_skipped, want.phase1_skipped) << label;
+}
+
+TEST(BarrierSolverTest, StaleConeCacheIsNeverTrustedAcrossSolves) {
+  // Phase II hands each accepted line-search trial's cone evaluations
+  // to the next Hessian assembly through the workspace.  A workspace
+  // left stale by a different problem of the same shape has every
+  // buffer sized right, so a solver that trusted those evaluations at
+  // entry would use them silently.  Cold solves (phase I, then t from 1)
+  // and warm ones (which start from the warm-start check's evaluations)
+  // must both match fresh scratch memory bit for bit, through several
+  // centering stages, where the cone cache is kept and the cached
+  // barrier value is dropped.
+  const ConvexProblem cones = cone_problem(0.0);
+  const ConvexProblem stale = cone_problem(0.3);
+  const BarrierSolver solver;
+  const BarrierOptions& opts = solver.options();
+  const double m = static_cast<double>(cones.constraint_count());
+
+  const BarrierResult cold = solver.solve(cones);
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  ASSERT_FALSE(cold.phase1_skipped);
+  // Three or more centering stages.
+  EXPECT_LE(cold.duality_gap, m / (opts.initial_t * opts.mu * opts.mu));
+  const std::optional<Vector> seed(cold.x);
+  const BarrierResult warm = solver.solve(cones, seed);
+  ASSERT_TRUE(warm.phase1_skipped);
+  // Two or more centering stages.
+  EXPECT_LE(warm.duality_gap, m / (opts.warm_initial_t * opts.mu));
+
+  for (const bool warm_start : {false, true}) {
+    SolverWorkspace ws;
+    solver.solve(stale, std::nullopt, &ws);  // leave the cones stale
+    const BarrierResult got =
+        solver.solve(cones, warm_start ? seed : std::nullopt, &ws);
+    expect_bitwise_equal(got, warm_start ? warm : cold,
+                         warm_start ? "warm" : "cold");
+    // And once more on the now-warm workspace of the same problem.
+    const BarrierResult again =
+        solver.solve(cones, warm_start ? seed : std::nullopt, &ws);
+    expect_bitwise_equal(again, warm_start ? warm : cold,
+                         warm_start ? "warm again" : "cold again");
+  }
+}
+
 TEST(BarrierSolverTest, CountersArePopulated) {
   ConvexProblem p(Matrix::identity(2));
   p.set_box(Box(2, Interval{-1.0, 1.0}));

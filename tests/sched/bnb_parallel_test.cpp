@@ -281,6 +281,8 @@ class LdaFpWarmStartParallelTest : public ::testing::Test {
     EXPECT_EQ(sa.phase1_skips, sb.phase1_skips) << label;
     EXPECT_EQ(sa.newton_iterations, sb.newton_iterations) << label;
     EXPECT_EQ(sa.factorizations, sb.factorizations) << label;
+    EXPECT_EQ(sa.line_search_trials, sb.line_search_trials) << label;
+    EXPECT_EQ(sa.polish_exact_evals, sb.polish_exact_evals) << label;
   }
 };
 
