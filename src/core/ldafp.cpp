@@ -8,6 +8,7 @@
 #include "core/lda.h"
 #include "fixed/grid.h"
 #include "linalg/eigen_sym.h"
+#include "opt/barrier_solver.h"
 #include "stats/normal.h"
 #include "support/error.h"
 #include "support/log.h"
@@ -18,6 +19,11 @@ namespace ldafp::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// t-first branching splits t while sup t²/inf t² exceeds kTGapRatio, but
+/// never below kMinTWidthRel of the root t-interval width.
+constexpr double kTGapRatio = 4.0;
+constexpr double kMinTWidthRel = 1e-3;
 
 /// Raw grid index of a grid-aligned value (value * 2^F).
 std::int64_t grid_index(double value, const fixed::FixedFormat& fmt) {
@@ -45,8 +51,7 @@ class LdaFpSearchProblem : public opt::BnbProblem {
         fmt_(fmt),
         beta_(beta),
         options_(options),
-        solver_(options.barrier),
-        min_t_width_(options.min_t_width_rel * root_t_width) {
+        min_t_width_(kMinTWidthRel * root_t_width) {
     dim_ = mean_diff_.size();
     // λ_min(S_W) powers the degenerate-t secondary bound: any non-zero
     // grid point has ‖w‖₂ >= resolution, so cost >= λ_min·res²/η_sup.
@@ -93,8 +98,8 @@ class LdaFpSearchProblem : public opt::BnbProblem {
 
     const opt::ConvexProblem relaxation = build_relaxation(box);
     relaxations_.fetch_add(1, std::memory_order_relaxed);
-    opt::BarrierResult solve =
-        solver_.solve(relaxation, make_seed(ctx, box), &thread_workspace());
+    opt::BarrierResult solve = opt::BarrierSolver().solve(
+        relaxation, make_seed(ctx, box), &thread_workspace());
     out.stats.relaxations = 1;
     out.stats.newton_iterations =
         static_cast<std::uint64_t>(solve.newton_iterations);
@@ -197,7 +202,7 @@ class LdaFpSearchProblem : public opt::BnbProblem {
         const double hi2 = tv.hi * tv.hi;
         const double ratio = std::max(lo2, hi2) /
                              std::max(std::min(lo2, hi2), 1e-300);
-        split_t = ratio > options_.t_gap_ratio;
+        split_t = ratio > kTGapRatio;
       }
       if (split_t) {
         const double point =
@@ -362,7 +367,6 @@ class LdaFpSearchProblem : public opt::BnbProblem {
   fixed::FixedFormat fmt_;
   double beta_;
   LdaFpOptions options_;
-  opt::BarrierSolver solver_;
   double min_t_width_;
   std::size_t dim_ = 0;
   double lambda_min_ = 0.0;
@@ -380,17 +384,10 @@ Status LdaFpOptions::validate() const {
   if (!(rho >= 0.0 && rho < 1.0)) {
     return Status::invalid("ldafp: confidence level rho must lie in [0, 1)");
   }
-  if (!(t_gap_ratio > 0.0)) {
-    return Status::invalid("ldafp: t_gap_ratio must be positive");
-  }
-  if (!(min_t_width_rel >= 0.0)) {
-    return Status::invalid("ldafp: min_t_width_rel must be non-negative");
-  }
   if (max_enum_points < 1) {
     return Status::invalid("ldafp: max_enum_points must be at least 1");
   }
-  if (const Status s = bnb.validate(); !s.ok()) return s;
-  return barrier.validate();
+  return bnb.validate();
 }
 
 LdaFpTrainer::LdaFpTrainer(fixed::FixedFormat format, LdaFpOptions options)

@@ -24,7 +24,6 @@
 #include "core/local_search.h"
 #include "core/training_set.h"
 #include "fixed/format.h"
-#include "opt/barrier_solver.h"
 #include "opt/bnb.h"
 #include "stats/gaussian_model.h"
 
@@ -44,9 +43,6 @@ struct LdaFpOptions {
   /// bit-identical weights, cost, and certified gap (DESIGN.md §9).
   opt::BnbOptions bnb;
 
-  /// Barrier solver tuning for the per-node relaxations.
-  opt::BarrierOptions barrier;
-
   /// Seed the incumbent with the rounded conventional-LDA solution.
   bool warm_start_from_lda = true;
 
@@ -55,11 +51,9 @@ struct LdaFpOptions {
   LocalSearchOptions local_search_options;
 
   /// Branch on t while its interval straddles 0 or sup t²/inf t² exceeds
-  /// this ratio (set to +inf to disable t-branching — ablation knob).
+  /// 4, down to 1e-3 of the root t-interval width (false disables
+  /// t-branching — ablation knob).
   bool branch_t_first = true;
-  double t_gap_ratio = 4.0;
-  /// Never branch t below this fraction of the root t-interval width.
-  double min_t_width_rel = 1e-3;
 
   /// A box is terminal (exactly enumerated) when the number of grid
   /// points it contains is at most this.
@@ -79,7 +73,7 @@ struct LdaFpOptions {
   /// when set, takes precedence.
   bool log_progress = false;
 
-  /// Checks the trainer knobs plus the nested bnb/barrier options;
+  /// Checks the trainer knobs plus the nested bnb options;
   /// called once by the LdaFpTrainer constructor.  The observability
   /// seam rides in `bnb.sink`: when set, train() additionally traces
   /// its stages ("ldafp.train" → prepare / warm_start / bnb.run) and

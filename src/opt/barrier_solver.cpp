@@ -7,7 +7,6 @@
 
 #include "linalg/ops.h"
 #include "support/error.h"
-#include "support/log.h"
 
 namespace ldafp::opt {
 namespace {
@@ -47,8 +46,8 @@ void soc_gradient(const SocConstraint& s, const Cone& e, linalg::Vector& g) {
   g += s.c;
 }
 
-/// Adds (grad grad')/r² + Hg/r to `hess`, where r = -residual (phase II)
-/// or s - residual (phase I), and Hg is the SOC residual Hessian.
+/// Adds (grad grad')/r² + Hg/r to `hess`, where r = shift - residual is
+/// the cone's barrier margin and Hg is the SOC residual Hessian.
 void add_soc_barrier_hessian(const SocConstraint& s, const Cone& e,
                              const linalg::Vector& grad, double r,
                              linalg::Matrix& hess) {
@@ -106,220 +105,256 @@ int newton_direction(const linalg::Matrix& hess, const linalg::Vector& grad,
   return attempts;
 }
 
-/// Max constraint residual at w against the problem's *original* box
-/// (mirrors ConvexProblem::max_residual; `probe` keeps it off the heap).
-double max_residual_ws(const ConvexProblem& p, const linalg::Vector& w,
-                       Cone& probe) {
-  double worst = -kInf;
-  for (std::size_t i = 0; i < p.linear().size(); ++i) {
-    worst = std::max(worst, linalg::dot(p.linear()[i].a, w) - p.linear_rhs(i));
-  }
-  for (const auto& soc : p.soc()) {
-    eval_soc(soc, w, probe);
-    worst = std::max(worst, probe.residual);
-  }
-  const Box& box = p.box();
-  for (std::size_t m = 0; m < box.size(); ++m) {
-    worst = std::max(worst, box[m].lo - w[m]);
-    worst = std::max(worst, w[m] - box[m].hi);
-  }
-  return worst;
-}
-
 // ---------------------------------------------------------------------------
-// Phase II: minimize t·wᵀQw − Σ log(−gᵢ(w)) over the strictly feasible set.
+// The log barrier, shared by both phases.  Over the linear and SOC rows gᵢ
+// and the (inflated) box,
+//   φ(w, shift) = −Σ log(shift − gᵢ(w)) − Σ log(w − lo) − Σ log(hi − w).
+// Phase II minimizes t·wᵀQw + φ(w, 0) over w; phase I minimizes
+// t·s + φ(w, s) over the lifted (w, s) (Boyd & Vandenberghe §11.4).  With
+// shift 0, `0.0 − g` is `−g` exactly, so phase II's arithmetic is that of
+// the plain barrier.
 // ---------------------------------------------------------------------------
 
-struct Phase2Eval {
-  bool feasible = false;  // strictly feasible at w
-  double value = kInf;    // barrier function value
-};
+/// The barrier method of one solve() call.  Evaluations already made at
+/// the iterate ws.w are reused bit for bit: ws.cones (valid for any t and
+/// shift) and the barrier-augmented value (valid within one centering
+/// stage of one phase).  Their validity lives here, never in the
+/// workspace, so a workspace left over from another problem is never
+/// trusted.
+class Barrier {
+ public:
+  Barrier(const ConvexProblem& problem, const Box& box, SolverWorkspace& ws,
+          BarrierResult& result)
+      : p_(problem), box_(box), ws_(ws), result_(result) {}
 
-/// Barrier value at w.  Each cone's evaluation lands in `cones`; when the
-/// result is feasible they are all current for w.
-Phase2Eval eval_phase2(const ConvexProblem& p, const Box& box, double t,
-                       const linalg::Vector& w, std::vector<Cone>& cones) {
-  Phase2Eval out;
-  double barrier = 0.0;
-  for (std::size_t i = 0; i < p.linear().size(); ++i) {
-    const double g = linalg::dot(p.linear()[i].a, w) - p.linear_rhs(i);
-    if (g >= 0.0) return out;
-    barrier -= std::log(-g);
+  /// Starts phase II at w when w is strictly feasible (its cones then
+  /// become current); false leaves ws.w untouched.
+  bool start_at(const linalg::Vector& w) {
+    if (logs(w, 0.0, ws_.cones) == kInf) return false;
+    ws_.w = w;
+    cones_current_ = true;
+    return true;
   }
-  for (std::size_t j = 0; j < p.soc().size(); ++j) {
-    eval_soc(p.soc()[j], w, cones[j]);
-    const double g = cones[j].residual;
-    if (g >= 0.0) return out;
-    barrier -= std::log(-g);
-  }
-  for (std::size_t m = 0; m < box.size(); ++m) {
-    const double lo_gap = w[m] - box[m].lo;
-    const double hi_gap = box[m].hi - w[m];
-    if (lo_gap <= 0.0 || hi_gap <= 0.0) return out;
-    barrier -= std::log(lo_gap) + std::log(hi_gap);
-  }
-  out.feasible = true;
-  out.value = t * p.objective(w) + barrier;
-  return out;
-}
 
-// ---------------------------------------------------------------------------
-// Phase I: minimize s subject to gᵢ(w) <= s, w in box.
-// ---------------------------------------------------------------------------
+  /// Phase I from the box center.  True leaves a strictly feasible point
+  /// in ws.w; false means none was found within the Newton budget
+  /// (treated as infeasible by the caller, matching the certified-prune
+  /// semantics).
+  bool phase1() {
+    linalg::Vector& w = ws_.w;
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] = box_[i].mid();
+    cones_current_ = false;
+    const std::size_t rows = p_.linear().size() + p_.soc().size();
+    if (rows == 0) return true;  // box interior is all we need
 
-/// Runs phase I inside the workspace.  On success (true) ws.w holds a
-/// strictly feasible point; false means no such point was found within
-/// the iteration budget (treated as infeasible by the caller, matching
-/// the certified-prune semantics).  Counters accumulate into `counts`.
-bool run_phase1(const ConvexProblem& problem, const Box& box,
-                const BarrierOptions& options, SolverWorkspace& ws,
-                BarrierResult& counts) {
-  const std::size_t n = problem.dim();
-  const std::size_t n_ineq = problem.linear().size() + problem.soc().size();
-
-  linalg::Vector& w = ws.w;
-  for (std::size_t i = 0; i < n; ++i) w[i] = box[i].mid();
-  if (n_ineq == 0) return true;  // box interior is all we need
-
-  // Slack above the worst violation keeps every log argument positive.
-  double s = max_residual_ws(problem, w, ws.probe) + 1.0;
-  // The box residuals are <= 0 at the center; only linear/SOC matter for s.
-
-  const auto count = static_cast<double>(n_ineq);
-  double t = options.initial_t;
-  int phase_newton = 0;
-
-  const auto barrier_value = [&](const linalg::Vector& ww,
-                                 double ss) -> double {
-    double value = t * ss;
-    for (std::size_t i = 0; i < problem.linear().size(); ++i) {
-      const double margin = ss - (linalg::dot(problem.linear()[i].a, ww) -
-                                  problem.linear_rhs(i));
-      if (margin <= 0.0) return kInf;
-      value -= std::log(margin);
-    }
-    for (const auto& soc : problem.soc()) {
-      eval_soc(soc, ww, ws.probe);
-      const double margin = ss - ws.probe.residual;
-      if (margin <= 0.0) return kInf;
-      value -= std::log(margin);
-    }
-    for (std::size_t mm = 0; mm < n; ++mm) {
-      const double lo_gap = ww[mm] - box[mm].lo;
-      const double hi_gap = box[mm].hi - ww[mm];
-      if (lo_gap <= 0.0 || hi_gap <= 0.0) return kInf;
-      value -= std::log(lo_gap) + std::log(hi_gap);
-    }
-    return value;
-  };
-
-  linalg::Vector& grad = ws.grad1;
-  linalg::Matrix& hess = ws.hess1;
-
-  while (true) {
-    for (int iter = 0; iter < options.max_newton_per_stage; ++iter) {
-      if (phase_newton >= options.max_total_newton) break;
-      ++phase_newton;
-      ++counts.newton_iterations;
-
-      // Early success: comfortably below zero violation.
-      if (s < -10.0 * options.feasibility_margin &&
-          max_residual_ws(problem, w, ws.probe) <
-              -options.feasibility_margin) {
-        return true;
-      }
-
-      // Gradient/Hessian in z = (w, s).
-      grad.fill(0.0);
-      std::fill_n(hess.data(), (n + 1) * (n + 1), 0.0);
-      grad[n] = t;
-
-      auto add_constraint = [&](const linalg::Vector& g_grad,
-                                double margin) {
-        const double inv = 1.0 / margin;
-        for (std::size_t i = 0; i < n; ++i) grad[i] += g_grad[i] * inv;
-        grad[n] -= inv;
-        const double inv2 = inv * inv;
-        for (std::size_t i = 0; i < n; ++i) {
-          for (std::size_t j = 0; j < n; ++j) {
-            hess(i, j) += g_grad[i] * g_grad[j] * inv2;
-          }
-          hess(i, n) -= g_grad[i] * inv2;
-          hess(n, i) -= g_grad[i] * inv2;
+    lifted_ = true;
+    // Slack above the worst violation keeps every log argument positive.
+    // The box residuals are <= 0 at the center; only linear/SOC matter.
+    double s = p_.max_residual(w) + 1.0;
+    double t = barrier::kInitialT;
+    int newton = 0;
+    while (true) {
+      value_current_ = false;
+      for (int iter = 0; iter < barrier::kMaxNewtonPerStage &&
+                         newton < barrier::kMaxTotalNewton;
+           ++iter) {
+        ++newton;
+        ++result_.newton_iterations;
+        // Early success: comfortably below zero violation.
+        if (s < -10.0 * barrier::kFeasibilityMargin &&
+            p_.max_residual(w) < -barrier::kFeasibilityMargin) {
+          return true;
         }
-        hess(n, n) += inv2;
-      };
-
-      for (std::size_t i = 0; i < problem.linear().size(); ++i) {
-        const double margin = s - (linalg::dot(problem.linear()[i].a, w) -
-                                   problem.linear_rhs(i));
-        add_constraint(problem.linear()[i].a, margin);
+        if (!newton_step(t, s)) break;
       }
-      for (std::size_t j = 0; j < problem.soc().size(); ++j) {
-        const SocConstraint& soc = problem.soc()[j];
-        Cone& e = ws.cones[j];
-        eval_soc(soc, w, e);
-        const linalg::Vector& sigma_w = e.sigma_w;
-        const double margin = s - e.residual;
-        soc_gradient(soc, e, ws.soc_grad);
-        add_constraint(ws.soc_grad, margin);
-        // Curvature of the SOC residual itself.
-        const double a = soc.beta / e.root / margin;
-        const double b =
-            soc.beta / (e.root * e.root * e.root) / margin;
-        for (std::size_t ii = 0; ii < n; ++ii) {
-          for (std::size_t jj = 0; jj < n; ++jj) {
-            hess(ii, jj) += a * soc.sigma(ii, jj) -
-                            b * sigma_w[ii] * sigma_w[jj];
-          }
-        }
+      // Converged for this t: feasible iff s is negative.
+      if (p_.max_residual(w) < -barrier::kFeasibilityMargin) return true;
+      if (static_cast<double>(rows) / t <= barrier::kGapTol ||
+          newton >= barrier::kMaxTotalNewton) {
+        return false;  // s* >= 0 within tolerance: nothing strictly feasible
       }
-      for (std::size_t mm = 0; mm < n; ++mm) {
-        const double lo_gap = w[mm] - box[mm].lo;
-        const double hi_gap = box[mm].hi - w[mm];
-        grad[mm] += -1.0 / lo_gap + 1.0 / hi_gap;
-        hess(mm, mm) += 1.0 / (lo_gap * lo_gap) + 1.0 / (hi_gap * hi_gap);
-      }
+      t *= barrier::kMu;
+    }
+  }
 
-      counts.factorizations += newton_direction(hess, grad, ws.factor1, ws.dz);
-      const linalg::Vector& dz = ws.dz;
-      const double decrement_sq = -linalg::dot(grad, dz);
-      if (decrement_sq * 0.5 <= options.newton_tol) break;
-
-      const double here = barrier_value(w, s);
-      double alpha = 1.0;
-      bool stepped = false;
-      for (int ls = 0; ls < 60; ++ls) {
-        linalg::Vector& cand = ws.cand;
-        cand = w;
-        for (std::size_t i = 0; i < n; ++i) cand[i] += alpha * dz[i];
-        const double cand_s = s + alpha * dz[n];
-        ++counts.line_search_trials;
-        const double trial = barrier_value(cand, cand_s);
-        if (trial <= here - 1e-4 * alpha * decrement_sq) {
-          std::swap(w, cand);
-          s = cand_s;
-          stepped = true;
+  /// Phase II from the strictly feasible ws.w, starting at parameter t.
+  /// Sets the result's duality gap; kIterationLimit when the Newton budget
+  /// ran out before the gap closed.
+  SolveStatus phase2(double t) {
+    lifted_ = false;
+    const auto m = static_cast<double>(p_.constraint_count());
+    double unused_s = 0.0;
+    int newton = 0;
+    bool out_of_budget = false;
+    while (true) {
+      value_current_ = false;
+      for (int iter = 0; iter < barrier::kMaxNewtonPerStage; ++iter) {
+        if (newton >= barrier::kMaxTotalNewton) {
+          out_of_budget = true;
           break;
         }
-        alpha *= 0.5;
+        ++newton;
+        ++result_.newton_iterations;
+        if (!newton_step(t, unused_s)) break;  // centered or stalled
       }
-      if (!stepped) break;
+      result_.duality_gap = m / t;
+      if (out_of_budget) return SolveStatus::kIterationLimit;
+      if (result_.duality_gap <= barrier::kGapTol) return SolveStatus::kOptimal;
+      t *= barrier::kMu;
+    }
+  }
+
+ private:
+  /// φ(w, shift), or +inf when some margin is not positive.  Each cone's
+  /// evaluation lands in `cones`; when the result is finite they are all
+  /// current for w.
+  double logs(const linalg::Vector& w, double shift,
+              std::vector<Cone>& cones) const {
+    double phi = 0.0;
+    for (std::size_t i = 0; i < p_.linear().size(); ++i) {
+      const double r =
+          shift - (linalg::dot(p_.linear()[i].a, w) - p_.linear_rhs(i));
+      if (r <= 0.0) return kInf;
+      phi -= std::log(r);
+    }
+    for (std::size_t j = 0; j < p_.soc().size(); ++j) {
+      eval_soc(p_.soc()[j], w, cones[j]);
+      const double r = shift - cones[j].residual;
+      if (r <= 0.0) return kInf;
+      phi -= std::log(r);
+    }
+    for (std::size_t m = 0; m < box_.size(); ++m) {
+      const double lo_gap = w[m] - box_[m].lo;
+      const double hi_gap = box_[m].hi - w[m];
+      if (lo_gap <= 0.0 || hi_gap <= 0.0) return kInf;
+      phi -= std::log(lo_gap) + std::log(hi_gap);
+    }
+    return phi;
+  }
+
+  /// The barrier-augmented objective at (w, s): t·s + φ(w, s) in phase I,
+  /// t·wᵀQw + φ(w, 0) in phase II; +inf outside the domain.
+  double value(double t, const linalg::Vector& w, double s,
+               std::vector<Cone>& cones) const {
+    const double phi = logs(w, lifted_ ? s : 0.0, cones);
+    if (phi == kInf) return kInf;
+    return t * (lifted_ ? s : p_.objective(w)) + phi;
+  }
+
+  /// Adds a shifted row's terms to phase I's s-row and s-column: the row
+  /// with gradient `g` and margin r contributes −1/r to ∂f/∂s, 1/r² to
+  /// ∂²f/∂s² and −g/r² to ∂²f/∂w∂s.
+  static void add_s_terms(const linalg::Vector& g, double r, double& grad_s,
+                          linalg::Matrix& hess) {
+    const std::size_t n = g.size();
+    const double inv = 1.0 / r;
+    const double inv2 = inv * inv;
+    grad_s -= inv;
+    for (std::size_t i = 0; i < n; ++i) {
+      hess(i, n) -= g[i] * inv2;
+      hess(n, i) -= g[i] * inv2;
+    }
+    hess(n, n) += inv2;
+  }
+
+  /// One damped Newton step at parameter t from (ws.w, s).  False when
+  /// the iterate is already centered or the line search stalled.
+  bool newton_step(double t, double& s) {
+    linalg::Vector& w = ws_.w;
+    linalg::Vector& grad = ws_.grad;
+    const std::size_t n = w.size();
+    const double shift = lifted_ ? s : 0.0;
+
+    // Gradient and Hessian of f in w, into phase II's n × n system or the
+    // leading block of phase I's (n+1) × (n+1) one.
+    linalg::Matrix& hess = lifted_ ? ws_.hess1 : ws_.hess;
+    double grad_s = t;  // phase I's ∂f/∂s
+    if (lifted_) {
+      grad.fill(0.0);
+      std::fill_n(hess.data(), (n + 1) * (n + 1), 0.0);
+    } else {
+      linalg::sym_matvec_quad(p_.objective_matrix(), w, grad);
+      grad *= 2.0 * t;
+      hess = p_.objective_matrix();
+      hess *= 2.0 * t;
+    }
+    for (std::size_t i = 0; i < p_.linear().size(); ++i) {
+      const linalg::Vector& a = p_.linear()[i].a;
+      const double r = shift - (linalg::dot(a, w) - p_.linear_rhs(i));
+      grad.axpy(1.0 / r, a);
+      add_linear_barrier_hessian(a, r, hess);
+      if (lifted_) add_s_terms(a, r, grad_s, hess);
+    }
+    for (std::size_t j = 0; j < p_.soc().size(); ++j) {
+      const SocConstraint& soc = p_.soc()[j];
+      Cone& e = ws_.cones[j];
+      if (!cones_current_) eval_soc(soc, w, e);
+      const double r = shift - e.residual;
+      soc_gradient(soc, e, ws_.soc_grad);
+      grad.axpy(1.0 / r, ws_.soc_grad);
+      add_soc_barrier_hessian(soc, e, ws_.soc_grad, r, hess);
+      if (lifted_) add_s_terms(ws_.soc_grad, r, grad_s, hess);
+    }
+    cones_current_ = true;
+    for (std::size_t m = 0; m < n; ++m) {
+      const double lo_gap = w[m] - box_[m].lo;
+      const double hi_gap = box_[m].hi - w[m];
+      grad[m] += -1.0 / lo_gap + 1.0 / hi_gap;
+      hess(m, m) += 1.0 / (lo_gap * lo_gap) + 1.0 / (hi_gap * hi_gap);
     }
 
-    // Converged for this t: feasible iff s is negative.
-    if (max_residual_ws(problem, w, ws.probe) <
-        -options.feasibility_margin) {
-      return true;
+    // Newton direction: dx in w, ds in s (phase I only).
+    linalg::Vector& dx = ws_.dx;
+    double ds = 0.0;
+    double decrement_sq = 0.0;
+    if (lifted_) {
+      for (std::size_t i = 0; i < n; ++i) ws_.grad1[i] = grad[i];
+      ws_.grad1[n] = grad_s;
+      result_.factorizations +=
+          newton_direction(hess, ws_.grad1, ws_.factor1, ws_.dz);
+      decrement_sq = -linalg::dot(ws_.grad1, ws_.dz);
+      for (std::size_t i = 0; i < n; ++i) dx[i] = ws_.dz[i];
+      ds = ws_.dz[n];
+    } else {
+      result_.factorizations += newton_direction(hess, grad, ws_.factor, dx);
+      decrement_sq = -linalg::dot(grad, dx);
     }
-    if (count / t <= options.gap_tol ||
-        phase_newton >= options.max_total_newton) {
-      // s* >= 0 to within tolerance: no strictly feasible point.
-      return false;
+    if (decrement_sq * 0.5 <= barrier::kNewtonTol) return false;
+
+    // Backtracking line search keeping strict feasibility.  The trial
+    // evaluations land in ws.trial_cones (scratch until accepted); an
+    // accepted trial's value is the next step's reference.
+    if (!value_current_) value_ = value(t, w, s, ws_.trial_cones);
+    double alpha = 1.0;
+    for (int ls = 0; ls < 60; ++ls) {
+      linalg::Vector& cand = ws_.cand;
+      cand = w;
+      cand.axpy(alpha, dx);
+      const double cand_s = s + alpha * ds;
+      ++result_.line_search_trials;
+      const double trial = value(t, cand, cand_s, ws_.trial_cones);
+      if (trial < kInf && trial <= value_ - 1e-4 * alpha * decrement_sq) {
+        std::swap(w, cand);
+        std::swap(ws_.cones, ws_.trial_cones);
+        s = cand_s;
+        value_ = trial;
+        value_current_ = true;
+        return true;
+      }
+      alpha *= 0.5;
     }
-    t *= options.mu;
+    return false;
   }
-}
+
+  const ConvexProblem& p_;
+  const Box& box_;
+  SolverWorkspace& ws_;
+  BarrierResult& result_;
+  bool lifted_ = false;  ///< phase I: variables (w, s), rows shifted by s
+  bool cones_current_ = false;
+  bool value_current_ = false;
+  double value_ = kInf;
+};
 
 }  // namespace
 
@@ -332,53 +367,19 @@ const char* to_string(SolveStatus status) {
   return "?";
 }
 
-Status BarrierOptions::validate() const {
-  if (!(gap_tol > 0.0)) {
-    return Status::invalid("barrier: gap_tol must be positive");
-  }
-  if (!(initial_t > 0.0)) {
-    return Status::invalid("barrier: initial_t must be positive");
-  }
-  if (!(warm_initial_t > 0.0)) {
-    return Status::invalid("barrier: warm_initial_t must be positive");
-  }
-  if (!(mu > 1.0)) {
-    return Status::invalid(
-        "barrier: mu must exceed 1 (the barrier parameter must grow)");
-  }
-  if (max_newton_per_stage < 1) {
-    return Status::invalid("barrier: max_newton_per_stage must be at least 1");
-  }
-  if (max_total_newton < 1) {
-    return Status::invalid("barrier: max_total_newton must be at least 1");
-  }
-  if (!(newton_tol > 0.0)) {
-    return Status::invalid("barrier: newton_tol must be positive");
-  }
-  if (!(feasibility_margin >= 0.0)) {
-    return Status::invalid(
-        "barrier: feasibility_margin must be non-negative");
-  }
-  if (!(min_box_width >= 0.0)) {
-    return Status::invalid("barrier: min_box_width must be non-negative");
-  }
-  return Status();
-}
-
 void SolverWorkspace::resize(std::size_t n, std::size_t socs) {
   if (hess.rows() != n || hess.cols() != n) {
-    hess = linalg::Matrix(n, n);
-    factor = linalg::Matrix(n, n);
-    hess1 = linalg::Matrix(n + 1, n + 1);
-    factor1 = linalg::Matrix(n + 1, n + 1);
     grad = linalg::Vector(n);
     dx = linalg::Vector(n);
     w = linalg::Vector(n);
     cand = linalg::Vector(n);
+    hess = linalg::Matrix(n, n);
+    factor = linalg::Matrix(n, n);
+    hess1 = linalg::Matrix(n + 1, n + 1);
+    factor1 = linalg::Matrix(n + 1, n + 1);
     grad1 = linalg::Vector(n + 1);
     dz = linalg::Vector(n + 1);
     soc_grad = linalg::Vector(n);
-    probe.sigma_w = linalg::Vector(n);
   }
   for (std::vector<Cone>* set : {&cones, &trial_cones}) {
     if (set->size() < socs) set->resize(socs);
@@ -408,154 +409,37 @@ BarrierResult BarrierSolver::solve(
     const ConvexProblem& problem,
     const std::optional<linalg::Vector>& warm_start,
     SolverWorkspace* workspace) const {
-  throw_if_error(options_.validate());
   LDAFP_CHECK(problem.has_box(), "barrier solver requires a variable box");
   throw_if_error(validate_warm_start(problem, warm_start));
 
   SolverWorkspace local;
   SolverWorkspace& ws = workspace != nullptr ? *workspace : local;
-  const std::size_t n = problem.dim();
-  ws.resize(n, problem.soc().size());
+  ws.resize(problem.dim(), problem.soc().size());
 
-  const Box box = inflate_box(problem.box(), options_.min_box_width);
+  const Box box = inflate_box(problem.box(), barrier::kMinBoxWidth);
 
   BarrierResult result;
-  result.lower_bound = -kInf;
-
-  // Obtain a strictly feasible start in ws.w.  A feasible warm-start check
-  // leaves every cone evaluated at the start point.
-  if (warm_start.has_value() &&
-      eval_phase2(problem, box, 1.0, *warm_start, ws.cones).feasible) {
-    ws.w = *warm_start;
-    result.phase1_skipped = true;
-  } else {
-    if (!run_phase1(problem, box, options_, ws, result)) {
-      result.status = SolveStatus::kInfeasible;
-      result.lower_bound = kInf;  // infeasible node: prune unconditionally
-      result.objective = kInf;
-      return result;
-    }
+  Barrier method(problem, box, ws, result);
+  // A strictly feasible start in ws.w: the warm start, or phase I's.
+  result.phase1_skipped =
+      warm_start.has_value() && method.start_at(*warm_start);
+  if (!result.phase1_skipped && !method.phase1()) {
+    result.status = SolveStatus::kInfeasible;
+    result.lower_bound = kInf;  // infeasible node: prune unconditionally
+    result.objective = kInf;
+    return result;
   }
 
-  linalg::Vector& w = ws.w;
-  const auto m = static_cast<double>(problem.constraint_count());
-  double t = result.phase1_skipped
-                 ? std::max(options_.initial_t, options_.warm_initial_t)
-                 : options_.initial_t;
-  int phase2_newton = 0;
-  bool hit_iteration_limit = false;
-  // Evaluations already made at the current iterate, reused bit-for-bit:
-  // ws.cones (valid for any t) and the barrier value at t (valid within
-  // one centering stage).  Both live only in this call.
-  bool cones_current = result.phase1_skipped;
-  bool here_current = false;
-  double here = kInf;
-
-  while (true) {
-    // Newton centering at the current t.
-    for (int iter = 0; iter < options_.max_newton_per_stage; ++iter) {
-      if (phase2_newton >= options_.max_total_newton) {
-        hit_iteration_limit = true;
-        break;
-      }
-      ++phase2_newton;
-      ++result.newton_iterations;
-
-      // Assemble gradient and Hessian of the barrier-augmented objective.
-      linalg::sym_matvec_quad(problem.objective_matrix(), w, ws.grad);
-      ws.grad *= 2.0 * t;
-      ws.hess = problem.objective_matrix();
-      ws.hess *= 2.0 * t;
-      linalg::Vector& grad = ws.grad;
-      linalg::Matrix& hess = ws.hess;
-
-      for (std::size_t i = 0; i < problem.linear().size(); ++i) {
-        const linalg::Vector& a = problem.linear()[i].a;
-        const double r = -(linalg::dot(a, w) - problem.linear_rhs(i));
-        grad.axpy(1.0 / r, a);
-        add_linear_barrier_hessian(a, r, hess);
-      }
-      for (std::size_t j = 0; j < problem.soc().size(); ++j) {
-        const SocConstraint& soc = problem.soc()[j];
-        Cone& e = ws.cones[j];
-        if (!cones_current) eval_soc(soc, w, e);
-        const double r = -e.residual;
-        soc_gradient(soc, e, ws.soc_grad);
-        grad.axpy(1.0 / r, ws.soc_grad);
-        add_soc_barrier_hessian(soc, e, ws.soc_grad, r, hess);
-      }
-      cones_current = true;
-      for (std::size_t mm = 0; mm < n; ++mm) {
-        const double lo_gap = w[mm] - box[mm].lo;
-        const double hi_gap = box[mm].hi - w[mm];
-        grad[mm] += -1.0 / lo_gap + 1.0 / hi_gap;
-        hess(mm, mm) += 1.0 / (lo_gap * lo_gap) + 1.0 / (hi_gap * hi_gap);
-      }
-
-      result.factorizations +=
-          newton_direction(hess, grad, ws.factor, ws.dx);
-      const linalg::Vector& dx = ws.dx;
-      const double decrement_sq = -linalg::dot(grad, dx);
-      if (decrement_sq * 0.5 <= options_.newton_tol) break;
-
-      // Backtracking line search keeping strict feasibility.  The trial
-      // evaluations land in ws.trial_cones (scratch until accepted).
-      if (!here_current) {
-        here = eval_phase2(problem, box, t, w, ws.trial_cones).value;
-      }
-      double alpha = 1.0;
-      bool stepped = false;
-      for (int ls = 0; ls < 60; ++ls) {
-        linalg::Vector& cand = ws.cand;
-        cand = w;
-        cand.axpy(alpha, dx);
-        ++result.line_search_trials;
-        const Phase2Eval trial =
-            eval_phase2(problem, box, t, cand, ws.trial_cones);
-        if (trial.feasible &&
-            trial.value <= here - 1e-4 * alpha * decrement_sq) {
-          std::swap(w, cand);
-          std::swap(ws.cones, ws.trial_cones);
-          here = trial.value;
-          here_current = true;
-          stepped = true;
-          break;
-        }
-        alpha *= 0.5;
-      }
-      if (!stepped) break;  // stalled: accept the center we have
-    }
-
-    result.duality_gap = m / t;
-    if (hit_iteration_limit || result.duality_gap <= options_.gap_tol) break;
-    t *= options_.mu;
-    here_current = false;
-  }
-
-  result.x = w;
-  result.objective = problem.objective(w);
+  result.status = method.phase2(
+      result.phase1_skipped ? barrier::kWarmInitialT : barrier::kInitialT);
+  result.x = ws.w;
+  result.objective = problem.objective(ws.w);
   // Standard barrier certificate: at an (approximate) center for
   // parameter t the duality gap is m/t.  A small multiple absorbs the
   // imperfect centering.
   result.lower_bound =
-      result.objective - 2.0 * result.duality_gap - options_.gap_tol;
-  result.status = hit_iteration_limit ? SolveStatus::kIterationLimit
-                                      : SolveStatus::kOptimal;
+      result.objective - 2.0 * result.duality_gap - barrier::kGapTol;
   return result;
-}
-
-std::optional<linalg::Vector> BarrierSolver::find_strictly_feasible(
-    const ConvexProblem& problem) const {
-  throw_if_error(options_.validate());
-  LDAFP_CHECK(problem.has_box(), "barrier solver requires a variable box");
-  const Box box = inflate_box(problem.box(), options_.min_box_width);
-  SolverWorkspace ws;
-  ws.resize(problem.dim(), problem.soc().size());
-  BarrierResult counts;
-  if (!run_phase1(problem, box, options_, ws, counts)) {
-    return std::nullopt;
-  }
-  return ws.w;
 }
 
 }  // namespace ldafp::opt

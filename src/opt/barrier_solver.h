@@ -1,11 +1,15 @@
 // Log-barrier interior-point solver for ConvexProblem.
 //
 // Implements the classic two-phase barrier method (Boyd & Vandenberghe,
-// ch. 11), which is how we solve the paper's convex relaxation (Eq. 25):
-//   phase I  — minimize the max constraint violation s over (w, s) to find
-//              a strictly feasible start (or prove infeasibility),
-//   phase II — minimize t·wᵀQw − Σ log(−gᵢ(w)) with t increased
-//              geometrically until the duality gap m/t is below tolerance.
+// ch. 11), which is how we solve the paper's convex relaxation (Eq. 25).
+// Both phases run one barrier, φ(w, shift) = −Σ log(shift − gᵢ(w)) plus
+// the box logs, with one evaluator, one Newton assembly and one line
+// search:
+//   phase I  — minimize t·s + φ(w, s) over the lifted (w, s), driving the
+//              max constraint violation s below zero to find a strictly
+//              feasible start (or prove infeasibility; B&V §11.4),
+//   phase II — minimize t·wᵀQw + φ(w, 0) with t increased geometrically
+//              until the duality gap m/t is below tolerance.
 //
 // The certified lower bound returned with each solve is
 // objective − gap_margin, where gap_margin covers the barrier duality gap
@@ -28,6 +32,28 @@
 
 namespace ldafp::opt {
 
+/// The solver's constants, sized for the paper's problems (dimension <= a
+/// few hundred, tens of constraints).
+namespace barrier {
+inline constexpr double kGapTol = 1e-7;   ///< stop when m/t falls below this
+inline constexpr double kInitialT = 1.0;  ///< first barrier parameter
+/// First barrier parameter when a strictly feasible warm start skipped
+/// phase I.  Warm seeds (a parent node's relaxation optimum) are already
+/// near-optimal, so early low-t centering stages would only drag the
+/// iterate away and back; starting higher skips them.  The certificate is
+/// unaffected — bounds depend only on the final duality gap.
+inline constexpr double kWarmInitialT = 1e6;
+inline constexpr double kMu = 20.0;  ///< barrier parameter growth factor
+inline constexpr int kMaxNewtonPerStage = 80;
+inline constexpr int kMaxTotalNewton = 2000;  ///< per phase
+inline constexpr double kNewtonTol = 1e-10;   ///< half squared decrement
+inline constexpr double kFeasibilityMargin = 1e-9;  ///< phase I strictness
+/// Interval widths below this are inflated before solving so the box
+/// interior is non-empty; inflation only enlarges the feasible set, so
+/// lower bounds remain valid.
+inline constexpr double kMinBoxWidth = 1e-9;
+}  // namespace barrier
+
 /// Outcome of a barrier solve.
 enum class SolveStatus {
   kOptimal,        ///< converged to tolerance
@@ -37,33 +63,6 @@ enum class SolveStatus {
 
 /// Short display name of a status.
 const char* to_string(SolveStatus status);
-
-/// Tuning knobs.  Defaults are sized for the paper's problems
-/// (dimension <= a few hundred, tens of constraints).
-struct BarrierOptions {
-  double gap_tol = 1e-7;       ///< stop when m/t falls below this
-  double initial_t = 1.0;      ///< first barrier parameter
-  /// First barrier parameter when a strictly feasible warm start skipped
-  /// phase I.  Warm seeds (a parent node's relaxation optimum) are
-  /// already near-optimal, so early low-t centering stages would only
-  /// drag the iterate away and back; starting higher skips them.  The
-  /// certificate is unaffected — bounds depend only on the final duality
-  /// gap.  Effective value is max(initial_t, warm_initial_t).
-  double warm_initial_t = 1e6;
-  double mu = 20.0;            ///< barrier parameter growth factor
-  int max_newton_per_stage = 80;
-  int max_total_newton = 2000;
-  double newton_tol = 1e-10;   ///< half squared Newton decrement
-  double feasibility_margin = 1e-9;  ///< strictness required of phase I
-  /// Interval widths below this are inflated before solving so the box
-  /// interior is non-empty; inflation only enlarges the feasible set, so
-  /// lower bounds remain valid.
-  double min_box_width = 1e-9;
-
-  /// Checks every tolerance/budget for validity; called once per solve
-  /// entry (solve / find_strictly_feasible).
-  Status validate() const;
-};
 
 /// Argument validation for solve(): the warm start, when present, must
 /// match the problem dimension and be finite.  Exposed so callers can
@@ -96,10 +95,12 @@ struct SolverWorkspace {
   /// (and allocation-free) when the shape already matches.
   void resize(std::size_t n, std::size_t socs);
 
-  // Phase II buffers (dimension n).
-  linalg::Matrix hess, factor;
+  // Both phases (dimension n): the w-gradient, the step in w, the iterate
+  // and the line-search candidate.
   linalg::Vector grad, dx, w, cand;
-  // Phase I buffers (dimension n+1 for the (w, s) system).
+  // Phase II's Newton system (n × n).
+  linalg::Matrix hess, factor;
+  // Phase I's Newton system in the lifted (w, s) (dimension n+1).
   linalg::Matrix hess1, factor1;
   linalg::Vector grad1, dz;
   /// One SOC constraint evaluated at a point: Σⱼw, the root
@@ -109,25 +110,18 @@ struct SolverWorkspace {
     double root = 0.0;
     double residual = 0.0;
   };
-  // Per-SOC evaluations at the iterate (`cones`) and at phase II's latest
+  // Per-SOC evaluations at the iterate (`cones`) and at the latest
   // line-search trial point (`trial_cones`).  Accepting a trial swaps the
   // two, so the next Hessian assembly reuses the trial's evaluations
   // instead of recomputing them.  solve() tracks which ones are current
-  // itself; nothing here is trusted across solve() calls.  `probe` takes
-  // one-off evaluations (residual checks, phase I line search).
+  // itself; nothing here is trusted across solve() calls.
   std::vector<Cone> cones, trial_cones;
-  Cone probe;
   linalg::Vector soc_grad;
 };
 
-/// The solver.  Stateless apart from options; safe to reuse.
+/// The solver.  Stateless; safe to reuse and to share between threads.
 class BarrierSolver {
  public:
-  BarrierSolver() = default;
-  explicit BarrierSolver(BarrierOptions options) : options_(options) {}
-
-  const BarrierOptions& options() const { return options_; }
-
   /// Solves the problem.  `warm_start`, when given, must match the
   /// problem dimension and be finite (throws InvalidArgumentError
   /// otherwise); when it is strictly feasible, phase I is skipped.
@@ -139,13 +133,6 @@ class BarrierSolver {
                       const std::optional<linalg::Vector>& warm_start =
                           std::nullopt,
                       SolverWorkspace* workspace = nullptr) const;
-
-  /// Phase I alone: returns a strictly feasible point or nullopt.
-  std::optional<linalg::Vector> find_strictly_feasible(
-      const ConvexProblem& problem) const;
-
- private:
-  BarrierOptions options_;
 };
 
 }  // namespace ldafp::opt

@@ -228,16 +228,13 @@ TEST(LdaFpTest, OptionsValidateRejectsEachBadKnob) {
   EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.rho = 1.0; }));
   EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.rho = -0.1; }));
   EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.rho = std::nan(""); }));
-  EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.t_gap_ratio = 0.0; }));
-  EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.min_t_width_rel = -1.0; }));
   EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.max_enum_points = 0; }));
   // Nested options are validated through the same entry point.
   EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.bnb.max_nodes = 0; }));
-  EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.barrier.mu = 1.0; }));
 
   // The trainer constructor raises a rejection (including nested ones).
   LdaFpOptions bad;
-  bad.barrier.gap_tol = -1.0;
+  bad.bnb.max_nodes = 0;
   EXPECT_THROW(LdaFpTrainer(fixed::FixedFormat(2, 2), bad),
                ldafp::InvalidArgumentError);
 }

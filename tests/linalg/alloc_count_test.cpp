@@ -64,7 +64,13 @@ TEST(AllocCountTest, InPlaceKernelsAreAllocationFree) {
 TEST(AllocCountTest, WarmSolveSteadyStateAllocationsAreBounded) {
   opt::ConvexProblem p(Matrix{{2.0, 0.4}, {0.4, 1.0}});
   p.set_box(opt::Box(2, opt::Interval{-1.0, 1.0}));
-  p.add_linear({Vector{-1.0, -1.0}, -0.5});
+  p.add_linear({Vector{-1.0, -1.0}, -0.5});  // the box center violates it
+  opt::SocConstraint soc;  // ‖w‖ <= 1.2
+  soc.beta = 1.0;
+  soc.sigma = Matrix::identity(2);
+  soc.c = Vector{0.0, 0.0};
+  soc.d = 1.2;
+  p.add_soc(soc);
 
   const opt::BarrierSolver solver;
   opt::SolverWorkspace ws;
@@ -86,6 +92,15 @@ TEST(AllocCountTest, WarmSolveSteadyStateAllocationsAreBounded) {
   const std::uint64_t before2 = allocs();
   solver.solve(p, warm, &ws);
   EXPECT_LE(allocs() - before2, 4u);
+
+  // A cold solve on the sized workspace: phase I's Newton steps (the box
+  // center is infeasible), its residual checks and the hand-off to
+  // phase II stay off the heap too.
+  const std::uint64_t before3 = allocs();
+  const opt::BarrierResult cold = solver.solve(p, std::nullopt, &ws);
+  EXPECT_LE(allocs() - before3, 4u) << "phase I allocated on the sized path";
+  EXPECT_EQ(cold.status, opt::SolveStatus::kOptimal);
+  EXPECT_FALSE(cold.phase1_skipped);
 }
 
 #endif  // LDAFP_COUNT_ALLOCS

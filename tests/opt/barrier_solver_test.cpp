@@ -18,7 +18,7 @@ TEST(BarrierSolverTest, UnconstrainedMinimumInsideBox) {
   ConvexProblem p(Matrix::identity(2));
   p.set_box(Box(2, Interval{-1.0, 1.0}));
   const BarrierResult r = BarrierSolver().solve(p);
-  EXPECT_EQ(r.status, SolveStatus::kOptimal);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r.objective, 0.0, 1e-5);
   EXPECT_LE(r.lower_bound, r.objective + 1e-12);
   EXPECT_NEAR(r.x[0], 0.0, 1e-3);
@@ -31,7 +31,7 @@ TEST(BarrierSolverTest, BoxActiveAtOptimum) {
   ConvexProblem p(Matrix::identity(1));
   p.set_box(Box(1, Interval{2.0, 4.0}));
   const BarrierResult r = BarrierSolver().solve(p);
-  EXPECT_EQ(r.status, SolveStatus::kOptimal);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r.x[0], 2.0, 1e-3);
   EXPECT_NEAR(r.objective, 4.0, 1e-2);
   EXPECT_LE(r.lower_bound, r.objective);
@@ -45,7 +45,7 @@ TEST(BarrierSolverTest, LinearConstraintActive) {
   p.set_box(Box(2, Interval{-5.0, 5.0}));
   p.add_linear({Vector{-1.0, -1.0}, -1.0});
   const BarrierResult r = BarrierSolver().solve(p);
-  EXPECT_EQ(r.status, SolveStatus::kOptimal);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r.objective, 0.5, 1e-3);
   EXPECT_NEAR(r.x[0], 0.5, 1e-2);
   EXPECT_NEAR(r.x[1], 0.5, 1e-2);
@@ -68,7 +68,7 @@ TEST(BarrierSolverTest, SocConstraintActive) {
   // Objective pushes toward 0 but we shift the box to force tension:
   // minimize x² over x in [-3, 0] subject to x >= -0.2: optimum ~0.
   const BarrierResult r = BarrierSolver().solve(p);
-  EXPECT_EQ(r.status, SolveStatus::kOptimal);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_GE(r.x[0], -0.2 - 1e-6);
 }
 
@@ -80,27 +80,51 @@ TEST(BarrierSolverTest, QuadraticWithCrossTerms) {
   p.set_box(Box(2, Interval{-10.0, 10.0}));
   p.add_linear({Vector{-1.0, -1.0}, -2.0});
   const BarrierResult r = BarrierSolver().solve(p);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r.objective, 6.0, 1e-2);
   EXPECT_NEAR(r.x[0], 1.0, 1e-2);
 }
 
 TEST(BarrierSolverTest, DetectsInfeasibility) {
-  // x <= -3 conflicts with box [0, 1].
-  ConvexProblem p(Matrix::identity(1));
-  p.set_box(Box(1, Interval{0.0, 1.0}));
-  p.add_linear({Vector{1.0}, -3.0});
-  const BarrierResult r = BarrierSolver().solve(p);
-  EXPECT_EQ(r.status, SolveStatus::kInfeasible);
-  EXPECT_TRUE(std::isinf(r.lower_bound));
+  {
+    // x <= -3 conflicts with box [0, 1].
+    ConvexProblem p(Matrix::identity(1));
+    p.set_box(Box(1, Interval{0.0, 1.0}));
+    p.add_linear({Vector{1.0}, -3.0});
+    const BarrierResult r = BarrierSolver().solve(p);
+    EXPECT_EQ(r.status, SolveStatus::kInfeasible);
+    EXPECT_TRUE(std::isinf(r.lower_bound));
+  }
+  {
+    // ‖w‖ <= 0.5 conflicts with box [2, 3]²: phase I's Newton steps run
+    // through the cone margin towards the least violation 2√2 − 0.5 > 0.
+    ConvexProblem p(Matrix::identity(2));
+    p.set_box(Box(2, Interval{2.0, 3.0}));
+    SocConstraint soc;
+    soc.beta = 1.0;
+    soc.sigma = Matrix::identity(2);
+    soc.c = Vector{0.0, 0.0};
+    soc.d = 0.5;
+    p.add_soc(soc);
+    const BarrierResult r = BarrierSolver().solve(p);
+    EXPECT_EQ(r.status, SolveStatus::kInfeasible);
+    EXPECT_TRUE(std::isinf(r.lower_bound));
+    EXPECT_GT(r.newton_iterations, 1);
+  }
 }
 
 TEST(BarrierSolverTest, FindStrictlyFeasiblePoint) {
+  // The box center violates x <= -0.5, so phase I has to step to a
+  // strictly feasible point before phase II can start.
   ConvexProblem p(Matrix::identity(2));
   p.set_box(Box(2, Interval{-1.0, 1.0}));
   p.add_linear({Vector{1.0, 0.0}, -0.5});  // x <= -0.5
-  const auto feasible = BarrierSolver().find_strictly_feasible(p);
-  ASSERT_TRUE(feasible.has_value());
-  EXPECT_LT(p.max_residual(*feasible), 0.0);
+  ASSERT_GT(p.max_residual(Vector{0.0, 0.0}), 0.0);
+  const BarrierResult r = BarrierSolver().solve(p);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_FALSE(r.phase1_skipped);
+  EXPECT_LT(p.max_residual(r.x), 0.0);
+  EXPECT_NEAR(r.objective, 0.25, 1e-3);  // optimum at (-0.5, 0)
 }
 
 TEST(BarrierSolverTest, WarmStartSkipsPhaseOne) {
@@ -108,7 +132,7 @@ TEST(BarrierSolverTest, WarmStartSkipsPhaseOne) {
   p.set_box(Box(2, Interval{-1.0, 1.0}));
   const BarrierResult r =
       BarrierSolver().solve(p, Vector{0.5, 0.5});
-  EXPECT_EQ(r.status, SolveStatus::kOptimal);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_TRUE(r.phase1_skipped);
   EXPECT_NEAR(r.objective, 0.0, 1e-5);
 }
@@ -118,7 +142,7 @@ TEST(BarrierSolverTest, InfeasibleWarmStartFallsBackToPhaseOne) {
   p.set_box(Box(2, Interval{-1.0, 1.0}));
   // Outside the box: solver must run phase I and still converge.
   const BarrierResult r = BarrierSolver().solve(p, Vector{4.0, 4.0});
-  EXPECT_EQ(r.status, SolveStatus::kOptimal);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_FALSE(r.phase1_skipped);
   EXPECT_NEAR(r.objective, 0.0, 1e-5);
 }
@@ -135,35 +159,6 @@ TEST(BarrierSolverTest, WarmStartValidation) {
                ldafp::InvalidArgumentError);
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(solver.solve(p, Vector{0.0, inf}),
-               ldafp::InvalidArgumentError);
-}
-
-TEST(BarrierSolverTest, OptionsValidateRejectsEachBadKnob) {
-  EXPECT_TRUE(BarrierOptions{}.validate().ok());
-
-  auto rejects = [](auto&& mutate) {
-    BarrierOptions options;
-    mutate(options);
-    return !options.validate().ok();
-  };
-  EXPECT_TRUE(rejects([](BarrierOptions& o) { o.gap_tol = 0.0; }));
-  EXPECT_TRUE(rejects([](BarrierOptions& o) { o.gap_tol = std::nan(""); }));
-  EXPECT_TRUE(rejects([](BarrierOptions& o) { o.initial_t = -1.0; }));
-  EXPECT_TRUE(rejects([](BarrierOptions& o) { o.warm_initial_t = 0.0; }));
-  EXPECT_TRUE(rejects([](BarrierOptions& o) { o.mu = 1.0; }));
-  EXPECT_TRUE(rejects([](BarrierOptions& o) { o.max_newton_per_stage = 0; }));
-  EXPECT_TRUE(rejects([](BarrierOptions& o) { o.max_total_newton = 0; }));
-  EXPECT_TRUE(rejects([](BarrierOptions& o) { o.newton_tol = 0.0; }));
-  EXPECT_TRUE(rejects([](BarrierOptions& o) { o.feasibility_margin = -1.0; }));
-  EXPECT_TRUE(rejects([](BarrierOptions& o) { o.min_box_width = -1e-9; }));
-
-  // The solver raises a rejection at its entry point.
-  ConvexProblem p(Matrix::identity(2));
-  p.set_box(Box(2, Interval{-1.0, 1.0}));
-  BarrierOptions bad;
-  bad.mu = 0.5;
-  EXPECT_THROW(BarrierSolver(bad).solve(p), ldafp::InvalidArgumentError);
-  EXPECT_THROW(BarrierSolver(bad).find_strictly_feasible(p),
                ldafp::InvalidArgumentError);
 }
 
@@ -198,11 +193,14 @@ TEST(BarrierSolverTest, WorkspaceReuseIsBitwiseTransparent) {
 
 /// A small relaxation-shaped problem: quadratic objective, a box, one
 /// linear row and two SOC cones whose Σ, c and d move with `shift`, so
-/// two shifts give two different problems of the same shape.  The box
-/// center is strictly feasible by more than 1 for every constraint, so
-/// a cold solve's phase I returns before evaluating any cone and the
-/// first phase-II Hessian assembly is the first to evaluate them.
-ConvexProblem cone_problem(double shift) {
+/// two shifts give two different problems of the same shape.  With the
+/// default `cap`, the box center is strictly feasible by more than 1 for
+/// every constraint, so a cold solve's phase I returns before evaluating
+/// any cone and the first phase-II Hessian assembly is the first to
+/// evaluate them.  A `cap` of 1 makes the center violate the first cone
+/// by about 2.5, so phase I has to step through that cone's margin
+/// towards the box's low corner.
+ConvexProblem cone_problem(double shift, double cap = 6.0) {
   ConvexProblem p(Matrix{{2.0, 0.5 + shift}, {0.5 + shift, 1.0}});
   p.set_box(Box(2, Interval{0.2, 4.2}));
   p.add_linear({Vector{-1.0, -1.0}, -0.5 - shift});
@@ -210,7 +208,7 @@ ConvexProblem cone_problem(double shift) {
   a.beta = 1.0 + shift;
   a.sigma = Matrix{{1.0, 0.2}, {0.2, 0.5}};
   a.c = Vector{0.3, -0.1};
-  a.d = 6.0;
+  a.d = cap;
   p.add_soc(a);
   SocConstraint b;
   b.beta = 0.8;
@@ -237,44 +235,51 @@ void expect_bitwise_equal(const BarrierResult& got, const BarrierResult& want,
 }
 
 TEST(BarrierSolverTest, StaleConeCacheIsNeverTrustedAcrossSolves) {
-  // Phase II hands each accepted line-search trial's cone evaluations
-  // to the next Hessian assembly through the workspace.  A workspace
-  // left stale by a different problem of the same shape has every
-  // buffer sized right, so a solver that trusted those evaluations at
-  // entry would use them silently.  Cold solves (phase I, then t from 1)
-  // and warm ones (which start from the warm-start check's evaluations)
-  // must both match fresh scratch memory bit for bit, through several
-  // centering stages, where the cone cache is kept and the cached
-  // barrier value is dropped.
-  const ConvexProblem cones = cone_problem(0.0);
-  const ConvexProblem stale = cone_problem(0.3);
-  const BarrierSolver solver;
-  const BarrierOptions& opts = solver.options();
-  const double m = static_cast<double>(cones.constraint_count());
+  // Each accepted line-search trial hands its cone evaluations to the
+  // next Hessian assembly through the workspace, in both phases.  A
+  // workspace left stale by a different problem of the same shape has
+  // every buffer sized right, so a solver that trusted those evaluations
+  // at entry would use them silently.  Cold solves (phase I, then t from
+  // 1) and warm ones (which start from the warm-start check's
+  // evaluations) must both match fresh scratch memory bit for bit,
+  // through several centering stages, where the cone cache is kept and
+  // the cached barrier value is dropped.  The second case's box center
+  // violates a cone, so its cold solves run phase I through the cones.
+  const double m = static_cast<double>(cone_problem(0.0).constraint_count());
+  for (const double cap : {6.0, 1.0}) {
+    SCOPED_TRACE(cap);
+    const ConvexProblem cones = cone_problem(0.0, cap);
+    const ConvexProblem stale = cone_problem(0.3, cap);
+    const bool center_violates = cones.max_residual(Vector{2.2, 2.2}) > 0.0;
+    EXPECT_EQ(center_violates, cap < 6.0);
+    const BarrierSolver solver;
 
-  const BarrierResult cold = solver.solve(cones);
-  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-  ASSERT_FALSE(cold.phase1_skipped);
-  // Three or more centering stages.
-  EXPECT_LE(cold.duality_gap, m / (opts.initial_t * opts.mu * opts.mu));
-  const std::optional<Vector> seed(cold.x);
-  const BarrierResult warm = solver.solve(cones, seed);
-  ASSERT_TRUE(warm.phase1_skipped);
-  // Two or more centering stages.
-  EXPECT_LE(warm.duality_gap, m / (opts.warm_initial_t * opts.mu));
+    const BarrierResult cold = solver.solve(cones);
+    ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+    ASSERT_FALSE(cold.phase1_skipped);
+    EXPECT_LT(cones.max_residual(cold.x), 0.0);
+    // Three or more centering stages.
+    EXPECT_LE(cold.duality_gap,
+              m / (barrier::kInitialT * barrier::kMu * barrier::kMu));
+    const std::optional<Vector> seed(cold.x);
+    const BarrierResult warm = solver.solve(cones, seed);
+    ASSERT_TRUE(warm.phase1_skipped);
+    // Two or more centering stages.
+    EXPECT_LE(warm.duality_gap, m / (barrier::kWarmInitialT * barrier::kMu));
 
-  for (const bool warm_start : {false, true}) {
-    SolverWorkspace ws;
-    solver.solve(stale, std::nullopt, &ws);  // leave the cones stale
-    const BarrierResult got =
-        solver.solve(cones, warm_start ? seed : std::nullopt, &ws);
-    expect_bitwise_equal(got, warm_start ? warm : cold,
-                         warm_start ? "warm" : "cold");
-    // And once more on the now-warm workspace of the same problem.
-    const BarrierResult again =
-        solver.solve(cones, warm_start ? seed : std::nullopt, &ws);
-    expect_bitwise_equal(again, warm_start ? warm : cold,
-                         warm_start ? "warm again" : "cold again");
+    for (const bool warm_start : {false, true}) {
+      SolverWorkspace ws;
+      solver.solve(stale, std::nullopt, &ws);  // leave the cones stale
+      const BarrierResult got =
+          solver.solve(cones, warm_start ? seed : std::nullopt, &ws);
+      expect_bitwise_equal(got, warm_start ? warm : cold,
+                           warm_start ? "warm" : "cold");
+      // And once more on the now-warm workspace of the same problem.
+      const BarrierResult again =
+          solver.solve(cones, warm_start ? seed : std::nullopt, &ws);
+      expect_bitwise_equal(again, warm_start ? warm : cold,
+                           warm_start ? "warm again" : "cold again");
+    }
   }
 }
 
@@ -295,7 +300,7 @@ TEST(BarrierSolverTest, ZeroWidthBoxDimensionHandled) {
   box[1] = Interval{0.5, 0.5};
   p.set_box(box);
   const BarrierResult r = BarrierSolver().solve(p);
-  EXPECT_EQ(r.status, SolveStatus::kOptimal);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r.x[1], 0.5, 1e-6);
   EXPECT_NEAR(r.objective, 0.25, 1e-3);
 }
