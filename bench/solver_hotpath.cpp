@@ -165,6 +165,7 @@ int main(int argc, char** argv) {
   support::JsonWriter json(report);
   json.begin_object();
   json.kv("bench", "solver_hotpath");
+  bench::write_host_header(json);
   json.kv("smoke", smoke);
   json.key("cases");
   json.begin_array();

@@ -107,6 +107,8 @@ class LdaFpSearchProblem : public opt::BnbProblem {
         static_cast<std::uint64_t>(solve.factorizations);
     out.stats.line_search_trials =
         static_cast<std::uint64_t>(solve.line_search_trials);
+    out.stats.stage_limit_hits =
+        static_cast<std::uint64_t>(solve.stage_limit_hits);
     out.stats.phase1_skips = solve.phase1_skipped ? 1 : 0;
     if (solve.status == opt::SolveStatus::kInfeasible) {
       out.lower = kInf;

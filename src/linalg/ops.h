@@ -27,13 +27,16 @@ void sym_rank1_update(Matrix& h, double alpha, const Vector& v);
 void add_scaled_matrix(Matrix& h, double alpha, const Matrix& a);
 
 /// In-place Cholesky: overwrites the lower triangle of `a` (diagonal
-/// included) with the factor L of A = L Lᵀ, reading only the lower
-/// triangle.  Returns false when a pivot is <= 0, i.e. the matrix is not
-/// positive definite — no exception, so hot loops can retry with jitter.
+/// included) with the factor L of A = L Lᵀ.  Reads and writes only the
+/// lower triangle: the strict upper triangle is never touched, so a
+/// caller may assemble A's lower triangle alone (the barrier solver's
+/// Newton systems do) and leave anything, even NaN, above the diagonal.
+/// Returns false when a pivot is <= 0, i.e. the matrix is not positive
+/// definite — no exception, so hot loops can retry with jitter.
 bool cholesky_factor_in_place(Matrix& a);
 
 /// Solves L Lᵀ x = b in place (b becomes x) given a factor produced by
-/// cholesky_factor_in_place.
+/// cholesky_factor_in_place.  Reads only the lower triangle of `l`.
 void cholesky_solve_in_place(const Matrix& l, Vector& b);
 
 /// Random matrix with i.i.d. standard normal entries.

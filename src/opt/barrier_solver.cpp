@@ -28,68 +28,27 @@ Box inflate_box(const Box& box, double min_width) {
   return out;
 }
 
-using Cone = SolverWorkspace::Cone;
-
-/// Evaluates SOC constraint `s` at w into `out`; Σw lands in the cone's
-/// own buffer, so repeated evaluations stay off the heap.
-void eval_soc(const SocConstraint& s, const linalg::Vector& w, Cone& out) {
-  const double quad =
-      std::max(linalg::sym_matvec_quad(s.sigma, w, out.sigma_w), 0.0);
-  out.root = std::sqrt(quad + s.eps);
-  out.residual = s.beta * out.root + linalg::dot(s.c, w) - s.d;
-}
-
-/// Gradient of the SOC residual from an evaluated cone, into `g`.
-void soc_gradient(const SocConstraint& s, const Cone& e, linalg::Vector& g) {
-  g = e.sigma_w;
-  g *= s.beta / e.root;
-  g += s.c;
-}
-
-/// Adds (grad grad')/r² + Hg/r to `hess`, where r = shift - residual is
-/// the cone's barrier margin and Hg is the SOC residual Hessian.
-void add_soc_barrier_hessian(const SocConstraint& s, const Cone& e,
-                             const linalg::Vector& grad, double r,
-                             linalg::Matrix& hess) {
-  const std::size_t n = grad.size();
-  const linalg::Vector& sigma_w = e.sigma_w;
-  const double inv_r = 1.0 / r;
-  const double inv_r2 = inv_r * inv_r;
-  const double a = s.beta / e.root * inv_r;               // Σ scale
-  const double b = s.beta / (e.root * e.root * e.root) * inv_r;  // rank-1
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      hess(i, j) += grad[i] * grad[j] * inv_r2 + a * s.sigma(i, j) -
-                    b * sigma_w[i] * sigma_w[j];
-    }
-  }
-}
-
-/// Adds (a a')/r² to `hess` for a linear constraint with margin r.
-void add_linear_barrier_hessian(const linalg::Vector& a, double r,
-                                linalg::Matrix& hess) {
-  const double inv_r2 = 1.0 / (r * r);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == 0.0) continue;
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      hess(i, j) += a[i] * a[j] * inv_r2;
-    }
-  }
-}
-
 /// Solves H dx = -g into `dx` with escalating diagonal jitter, using
-/// `factor` as factorization scratch.  Returns the number of Cholesky
-/// attempts (retries included); allocation-free.
+/// `factor` as factorization scratch.  Reads and copies only the lower
+/// triangle of H, all Cholesky reads; the jitter scale is max |H_ii|,
+/// which for a PSD matrix is its largest entry.  Returns the number of
+/// Cholesky attempts (retries included); allocation-free.
 int newton_direction(const linalg::Matrix& hess, const linalg::Vector& grad,
                      linalg::Matrix& factor, linalg::Vector& dx) {
   const std::size_t n = hess.rows();
-  const double scale = std::max(hess.norm_max(), 1.0);
+  double diag_max = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    diag_max = std::max(diag_max, std::fabs(hess(i, i)));
+  }
+  const double scale = std::max(diag_max, 1.0);
   const double max_jitter = 1e-2 * scale;
   double jitter = 1e-12 * scale;
   int attempts = 0;
   while (true) {
-    factor = hess;
-    for (std::size_t i = 0; i < n; ++i) factor(i, i) += jitter;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::copy_n(hess.data() + i * n, i + 1, factor.data() + i * n);
+      factor(i, i) += jitter;
+    }
     ++attempts;
     if (linalg::cholesky_factor_in_place(factor)) break;
     if (jitter >= max_jitter) {
@@ -115,10 +74,13 @@ int newton_direction(const linalg::Matrix& hess, const linalg::Vector& grad,
 // the plain barrier.
 // ---------------------------------------------------------------------------
 
-/// The barrier method of one solve() call.  Evaluations already made at
-/// the iterate ws.w are reused bit for bit: ws.cones (valid for any t and
-/// shift) and the barrier-augmented value (valid within one centering
-/// stage of one phase).  Their validity lives here, never in the
+/// The barrier method of one solve() call.  What it knows about the
+/// iterate lives in the workspace's directional terms (forms, cones,
+/// rows).  Each A·w is formed afresh when a phase starts and then moves
+/// with the iterate by one axpy per accepted step; the scalars wᵀAw, cᵀw
+/// and aᵀw are re-read from the moved vectors (O(n) each), so they never
+/// drift from them.  Within a centering stage the accepted trial's value
+/// is the next step's reference.  Validity lives here, never in the
 /// workspace, so a workspace left over from another problem is never
 /// trusted.
 class Barrier {
@@ -127,13 +89,12 @@ class Barrier {
           BarrierResult& result)
       : p_(problem), box_(box), ws_(ws), result_(result) {}
 
-  /// Starts phase II at w when w is strictly feasible (its cones then
-  /// become current); false leaves ws.w untouched.
+  /// Starts phase II at w when w is strictly feasible; false when it is
+  /// not (ws.w is overwritten either way).
   bool start_at(const linalg::Vector& w) {
-    if (logs(w, 0.0, ws_.cones) == kInf) return false;
     ws_.w = w;
-    cones_current_ = true;
-    return true;
+    load();
+    return logs(0.0) < kInf;
   }
 
   /// Phase I from the box center.  True leaves a strictly feasible point
@@ -143,30 +104,32 @@ class Barrier {
   bool phase1() {
     linalg::Vector& w = ws_.w;
     for (std::size_t i = 0; i < w.size(); ++i) w[i] = box_[i].mid();
-    cones_current_ = false;
     const std::size_t rows = p_.linear().size() + p_.soc().size();
     if (rows == 0) return true;  // box interior is all we need
 
+    load();
     lifted_ = true;
     // Slack above the worst violation keeps every log argument positive.
     // The box residuals are <= 0 at the center; only linear/SOC matter.
-    double s = p_.max_residual(w) + 1.0;
+    s_ = p_.max_residual(w) + 1.0;
     double t = barrier::kInitialT;
     int newton = 0;
     while (true) {
       value_current_ = false;
-      for (int iter = 0; iter < barrier::kMaxNewtonPerStage &&
-                         newton < barrier::kMaxTotalNewton;
+      int iter = 0;
+      for (; iter < barrier::kMaxNewtonPerStage &&
+             newton < barrier::kMaxTotalNewton;
            ++iter) {
         ++newton;
         ++result_.newton_iterations;
         // Early success: comfortably below zero violation.
-        if (s < -10.0 * barrier::kFeasibilityMargin &&
+        if (s_ < -10.0 * barrier::kFeasibilityMargin &&
             p_.max_residual(w) < -barrier::kFeasibilityMargin) {
           return true;
         }
-        if (!newton_step(t, s)) break;
+        if (!newton_step(t)) break;
       }
+      if (iter == barrier::kMaxNewtonPerStage) ++result_.stage_limit_hits;
       // Converged for this t: feasible iff s is negative.
       if (p_.max_residual(w) < -barrier::kFeasibilityMargin) return true;
       if (static_cast<double>(rows) / t <= barrier::kGapTol ||
@@ -182,21 +145,25 @@ class Barrier {
   /// ran out before the gap closed.
   SolveStatus phase2(double t) {
     lifted_ = false;
+    s_ = 0.0;
+    ds_ = 0.0;
+    ws_.forms[0].load(p_.objective_matrix(), ws_.w);
     const auto m = static_cast<double>(p_.constraint_count());
-    double unused_s = 0.0;
     int newton = 0;
     bool out_of_budget = false;
     while (true) {
       value_current_ = false;
-      for (int iter = 0; iter < barrier::kMaxNewtonPerStage; ++iter) {
+      int iter = 0;
+      for (; iter < barrier::kMaxNewtonPerStage; ++iter) {
         if (newton >= barrier::kMaxTotalNewton) {
           out_of_budget = true;
           break;
         }
         ++newton;
         ++result_.newton_iterations;
-        if (!newton_step(t, unused_s)) break;  // centered or stalled
+        if (!newton_step(t)) break;  // centered or stalled
       }
+      if (iter == barrier::kMaxNewtonPerStage) ++result_.stage_limit_hits;
       result_.duality_gap = m / t;
       if (out_of_budget) return SolveStatus::kIterationLimit;
       if (result_.duality_gap <= barrier::kGapTol) return SolveStatus::kOptimal;
@@ -205,138 +172,233 @@ class Barrier {
   }
 
  private:
-  /// φ(w, shift), or +inf when some margin is not positive.  Each cone's
-  /// evaluation lands in `cones`; when the result is finite they are all
-  /// current for w.
-  double logs(const linalg::Vector& w, double shift,
-              std::vector<Cone>& cones) const {
+  DirectionalForm& sigma_form(std::size_t j) const {
+    return ws_.forms[1 + p_.structure().sigma_slot(j)];
+  }
+
+  /// Loads every row's, cone's and Σ's terms afresh at ws.w, with the
+  /// step set to 0 (so α = 0 reads the iterate).  The objective's form is
+  /// phase II's and is loaded there.
+  void load() {
+    const linalg::Vector& w = ws_.w;
+    ws_.dx.fill(0.0);
+    ds_ = 0.0;
+    for (std::size_t i = 0; i < p_.linear().size(); ++i) {
+      ws_.rows[i] = {linalg::dot(p_.linear()[i].a, w), 0.0};
+    }
+    const ProblemStructure& st = p_.structure();
+    for (std::size_t k = 0; k < st.sigma_count(); ++k) {
+      ws_.forms[1 + k].load(st.sigma(k), w);
+    }
+    for (std::size_t j = 0; j < p_.soc().size(); ++j) {
+      ws_.cones[j].cw = linalg::dot(p_.soc()[j].c, w);
+      ws_.cones[j].cd = 0.0;
+    }
+  }
+
+  /// φ at (w + α·dx, s + α·ds) from the step's terms, or +inf when some
+  /// margin is not positive.  O(1) per row and per cone plus the O(n) box.
+  double logs(double alpha) const {
+    const double shift = lifted_ ? s_ + alpha * ds_ : 0.0;
     double phi = 0.0;
     for (std::size_t i = 0; i < p_.linear().size(); ++i) {
-      const double r =
-          shift - (linalg::dot(p_.linear()[i].a, w) - p_.linear_rhs(i));
+      const SolverWorkspace::Row& row = ws_.rows[i];
+      const double r = shift - ((row.aw + alpha * row.ad) - p_.linear_rhs(i));
       if (r <= 0.0) return kInf;
       phi -= std::log(r);
     }
     for (std::size_t j = 0; j < p_.soc().size(); ++j) {
-      eval_soc(p_.soc()[j], w, cones[j]);
-      const double r = shift - cones[j].residual;
+      const SocConstraint& soc = p_.soc()[j];
+      const SolverWorkspace::Cone& cone = ws_.cones[j];
+      const double root =
+          std::sqrt(std::max(sigma_form(j).at(alpha), 0.0) + soc.eps);
+      const double r =
+          shift - (soc.beta * root + (cone.cw + alpha * cone.cd) - soc.d);
       if (r <= 0.0) return kInf;
       phi -= std::log(r);
     }
+    const linalg::Vector& w = ws_.w;
+    const linalg::Vector& dx = ws_.dx;
     for (std::size_t m = 0; m < box_.size(); ++m) {
-      const double lo_gap = w[m] - box_[m].lo;
-      const double hi_gap = box_[m].hi - w[m];
+      const double x = w[m] + alpha * dx[m];
+      const double lo_gap = x - box_[m].lo;
+      const double hi_gap = box_[m].hi - x;
       if (lo_gap <= 0.0 || hi_gap <= 0.0) return kInf;
       phi -= std::log(lo_gap) + std::log(hi_gap);
     }
     return phi;
   }
 
-  /// The barrier-augmented objective at (w, s): t·s + φ(w, s) in phase I,
-  /// t·wᵀQw + φ(w, 0) in phase II; +inf outside the domain.
-  double value(double t, const linalg::Vector& w, double s,
-               std::vector<Cone>& cones) const {
-    const double phi = logs(w, lifted_ ? s : 0.0, cones);
+  /// The barrier-augmented objective at step length α: t·s + φ in
+  /// phase I, t·wᵀQw + φ in phase II; +inf outside the domain.
+  double value(double t, double alpha) const {
+    const double phi = logs(alpha);
     if (phi == kInf) return kInf;
-    return t * (lifted_ ? s : p_.objective(w)) + phi;
+    return t * (lifted_ ? s_ + alpha * ds_ : ws_.forms[0].at(alpha)) + phi;
   }
 
-  /// Adds a shifted row's terms to phase I's s-row and s-column: the row
-  /// with gradient `g` and margin r contributes −1/r to ∂f/∂s, 1/r² to
-  /// ∂²f/∂s² and −g/r² to ∂²f/∂w∂s.
-  static void add_s_terms(const linalg::Vector& g, double r, double& grad_s,
-                          linalg::Matrix& hess) {
-    const std::size_t n = g.size();
-    const double inv = 1.0 / r;
-    const double inv2 = inv * inv;
-    grad_s -= inv;
-    for (std::size_t i = 0; i < n; ++i) {
-      hess(i, n) -= g[i] * inv2;
-      hess(n, i) -= g[i] * inv2;
+  /// Moves the iterate to step length α: each A·w by one axpy, and the
+  /// scalars re-read at the new w.
+  void accept(double alpha) {
+    linalg::Vector& w = ws_.w;
+    w.axpy(alpha, ws_.dx);
+    s_ += alpha * ds_;
+    for (std::size_t i = 0; i < p_.linear().size(); ++i) {
+      ws_.rows[i].aw = linalg::dot(p_.linear()[i].a, w);
     }
-    hess(n, n) += inv2;
+    for (std::size_t j = 0; j < p_.soc().size(); ++j) {
+      ws_.cones[j].cw = linalg::dot(p_.soc()[j].c, w);
+    }
+    for (std::size_t k = lifted_ ? 1 : 0; k < forms_used(); ++k) {
+      ws_.forms[k].advance(alpha, w);
+    }
+  }
+
+  std::size_t forms_used() const { return 1 + p_.structure().sigma_count(); }
+
+  /// Gradient of f in w into ws.grad, and the Newton system (the n × n
+  /// one, or phase I's (n+1) × (n+1) one with its s-row) into the lower
+  /// triangle of `hess` in one pass over its rows:
+  ///   H = 2tQ + Σₖ aₖΣₖ + Σ c·v·vᵀ + box diagonal,
+  /// where each distinct Σₖ's weight aₖ sums β/(root·r) over its cones
+  /// and the rank-1 terms are the rows' and cones' ∇g∇gᵀ/r² and each
+  /// Σₖ's −Σ β/(root³·r)·(Σₖw)(Σₖw)ᵀ.  Returns phase I's ∂f/∂s.
+  double assemble(double t, linalg::Matrix& hess) {
+    const linalg::Vector& w = ws_.w;
+    linalg::Vector& grad = ws_.grad;
+    const std::size_t n = w.size();
+    const double shift = lifted_ ? s_ : 0.0;
+    const ProblemStructure& st = p_.structure();
+
+    if (lifted_) {
+      grad.fill(0.0);
+    } else {
+      grad = ws_.forms[0].aw;
+      grad *= 2.0 * t;
+    }
+    double grad_s = t;   // phase I's ∂f/∂s
+    double hess_ss = 0.0;  // and ∂²f/∂s²
+    std::size_t terms = 0;
+    for (std::size_t i = 0; i < p_.linear().size(); ++i) {
+      const linalg::Vector& a = p_.linear()[i].a;
+      const double r = shift - (ws_.rows[i].aw - p_.linear_rhs(i));
+      grad.axpy(1.0 / r, a);
+      grad_s -= 1.0 / r;
+      hess_ss += 1.0 / (r * r);
+      ws_.rank1[terms++] = {a.data(), 1.0 / (r * r)};
+    }
+    std::fill_n(ws_.sigma_weight.begin(), st.sigma_count(),
+                SolverWorkspace::SigmaWeight{});
+    for (std::size_t j = 0; j < p_.soc().size(); ++j) {
+      const SocConstraint& soc = p_.soc()[j];
+      SolverWorkspace::Cone& cone = ws_.cones[j];
+      const DirectionalForm& f = sigma_form(j);
+      const double root = std::sqrt(std::max(f.quad, 0.0) + soc.eps);
+      const double r = shift - (soc.beta * root + cone.cw - soc.d);
+      cone.grad = f.aw;
+      cone.grad *= soc.beta / root;
+      cone.grad += soc.c;
+      grad.axpy(1.0 / r, cone.grad);
+      grad_s -= 1.0 / r;
+      hess_ss += 1.0 / (r * r);
+      ws_.rank1[terms++] = {cone.grad.data(), 1.0 / (r * r)};
+      SolverWorkspace::SigmaWeight& weight =
+          ws_.sigma_weight[st.sigma_slot(j)];
+      weight.scale += soc.beta / root / r;
+      weight.outer += soc.beta / (root * root * root) / r;
+    }
+    const std::size_t coupled = terms;  // terms with an s-coupling
+    for (std::size_t k = 0; k < st.sigma_count(); ++k) {
+      ws_.rank1[terms++] = {ws_.forms[1 + k].aw.data(),
+                            -ws_.sigma_weight[k].outer};
+    }
+
+    const linalg::Matrix& q = p_.objective_matrix();
+    const double q_weight = lifted_ ? 0.0 : 2.0 * t;
+    for (std::size_t i = 0; i < n; ++i) {
+      double* h = &hess(i, 0);
+      const double* qi = q.data() + i * n;
+      for (std::size_t j = 0; j <= i; ++j) h[j] = q_weight * qi[j];
+      for (std::size_t k = 0; k < st.sigma_count(); ++k) {
+        const double a = ws_.sigma_weight[k].scale;
+        const double* si = st.sigma(k).data() + i * n;
+        for (std::size_t j = 0; j <= i; ++j) h[j] += a * si[j];
+      }
+      for (std::size_t r = 0; r < terms; ++r) {
+        const double* v = ws_.rank1[r].v;
+        const double ci = ws_.rank1[r].c * v[i];
+        if (ci == 0.0) continue;
+        for (std::size_t j = 0; j <= i; ++j) h[j] += ci * v[j];
+      }
+      const double lo_gap = w[i] - box_[i].lo;
+      const double hi_gap = box_[i].hi - w[i];
+      grad[i] += -1.0 / lo_gap + 1.0 / hi_gap;
+      h[i] += 1.0 / (lo_gap * lo_gap) + 1.0 / (hi_gap * hi_gap);
+    }
+    if (lifted_) {
+      // The s-row: ∂²f/∂s∂w = −Σ ∇g/r² over the shifted rows and cones.
+      double* hs = &hess(n, 0);
+      std::fill_n(hs, n, 0.0);
+      for (std::size_t r = 0; r < coupled; ++r) {
+        const double* v = ws_.rank1[r].v;
+        const double c = ws_.rank1[r].c;
+        for (std::size_t j = 0; j < n; ++j) hs[j] -= c * v[j];
+      }
+      hs[n] = hess_ss;
+    }
+    return grad_s;
   }
 
   /// One damped Newton step at parameter t from (ws.w, s).  False when
   /// the iterate is already centered or the line search stalled.
-  bool newton_step(double t, double& s) {
-    linalg::Vector& w = ws_.w;
+  bool newton_step(double t) {
     linalg::Vector& grad = ws_.grad;
-    const std::size_t n = w.size();
-    const double shift = lifted_ ? s : 0.0;
-
-    // Gradient and Hessian of f in w, into phase II's n × n system or the
-    // leading block of phase I's (n+1) × (n+1) one.
-    linalg::Matrix& hess = lifted_ ? ws_.hess1 : ws_.hess;
-    double grad_s = t;  // phase I's ∂f/∂s
-    if (lifted_) {
-      grad.fill(0.0);
-      std::fill_n(hess.data(), (n + 1) * (n + 1), 0.0);
-    } else {
-      linalg::sym_matvec_quad(p_.objective_matrix(), w, grad);
-      grad *= 2.0 * t;
-      hess = p_.objective_matrix();
-      hess *= 2.0 * t;
-    }
-    for (std::size_t i = 0; i < p_.linear().size(); ++i) {
-      const linalg::Vector& a = p_.linear()[i].a;
-      const double r = shift - (linalg::dot(a, w) - p_.linear_rhs(i));
-      grad.axpy(1.0 / r, a);
-      add_linear_barrier_hessian(a, r, hess);
-      if (lifted_) add_s_terms(a, r, grad_s, hess);
-    }
-    for (std::size_t j = 0; j < p_.soc().size(); ++j) {
-      const SocConstraint& soc = p_.soc()[j];
-      Cone& e = ws_.cones[j];
-      if (!cones_current_) eval_soc(soc, w, e);
-      const double r = shift - e.residual;
-      soc_gradient(soc, e, ws_.soc_grad);
-      grad.axpy(1.0 / r, ws_.soc_grad);
-      add_soc_barrier_hessian(soc, e, ws_.soc_grad, r, hess);
-      if (lifted_) add_s_terms(ws_.soc_grad, r, grad_s, hess);
-    }
-    cones_current_ = true;
-    for (std::size_t m = 0; m < n; ++m) {
-      const double lo_gap = w[m] - box_[m].lo;
-      const double hi_gap = box_[m].hi - w[m];
-      grad[m] += -1.0 / lo_gap + 1.0 / hi_gap;
-      hess(m, m) += 1.0 / (lo_gap * lo_gap) + 1.0 / (hi_gap * hi_gap);
-    }
+    linalg::Vector& dx = ws_.dx;
+    const std::size_t n = ws_.w.size();
 
     // Newton direction: dx in w, ds in s (phase I only).
-    linalg::Vector& dx = ws_.dx;
-    double ds = 0.0;
     double decrement_sq = 0.0;
     if (lifted_) {
+      const double grad_s = assemble(t, ws_.hess1);
       for (std::size_t i = 0; i < n; ++i) ws_.grad1[i] = grad[i];
       ws_.grad1[n] = grad_s;
       result_.factorizations +=
-          newton_direction(hess, ws_.grad1, ws_.factor1, ws_.dz);
+          newton_direction(ws_.hess1, ws_.grad1, ws_.factor1, ws_.dz);
       decrement_sq = -linalg::dot(ws_.grad1, ws_.dz);
       for (std::size_t i = 0; i < n; ++i) dx[i] = ws_.dz[i];
-      ds = ws_.dz[n];
+      ds_ = ws_.dz[n];
     } else {
-      result_.factorizations += newton_direction(hess, grad, ws_.factor, dx);
+      assemble(t, ws_.hess);
+      result_.factorizations +=
+          newton_direction(ws_.hess, grad, ws_.factor, dx);
       decrement_sq = -linalg::dot(grad, dx);
     }
     if (decrement_sq * 0.5 <= barrier::kNewtonTol) return false;
 
-    // Backtracking line search keeping strict feasibility.  The trial
-    // evaluations land in ws.trial_cones (scratch until accepted); an
-    // accepted trial's value is the next step's reference.
-    if (!value_current_) value_ = value(t, w, s, ws_.trial_cones);
+    // Expand every quadratic form and row along the step once, so each
+    // backtracking trial below costs O(1) per row and per cone.
+    for (std::size_t k = lifted_ ? 1 : 0; k < forms_used(); ++k) {
+      const linalg::Matrix& a = k == 0 ? p_.objective_matrix()
+                                       : p_.structure().sigma(k - 1);
+      ws_.forms[k].set_direction(a, dx);
+    }
+    for (std::size_t i = 0; i < p_.linear().size(); ++i) {
+      ws_.rows[i].ad = linalg::dot(p_.linear()[i].a, dx);
+    }
+    for (std::size_t j = 0; j < p_.soc().size(); ++j) {
+      ws_.cones[j].cd = linalg::dot(p_.soc()[j].c, dx);
+    }
+
+    // Backtracking line search keeping strict feasibility.  The reference
+    // is read from the same terms as the trials (α = 0), and an accepted
+    // trial's value is the next step's reference.
+    if (!value_current_) value_ = value(t, 0.0);
     double alpha = 1.0;
     for (int ls = 0; ls < 60; ++ls) {
-      linalg::Vector& cand = ws_.cand;
-      cand = w;
-      cand.axpy(alpha, dx);
-      const double cand_s = s + alpha * ds;
       ++result_.line_search_trials;
-      const double trial = value(t, cand, cand_s, ws_.trial_cones);
+      const double trial = value(t, alpha);
       if (trial < kInf && trial <= value_ - 1e-4 * alpha * decrement_sq) {
-        std::swap(w, cand);
-        std::swap(ws_.cones, ws_.trial_cones);
-        s = cand_s;
+        accept(alpha);
         value_ = trial;
         value_current_ = true;
         return true;
@@ -351,7 +413,8 @@ class Barrier {
   SolverWorkspace& ws_;
   BarrierResult& result_;
   bool lifted_ = false;  ///< phase I: variables (w, s), rows shifted by s
-  bool cones_current_ = false;
+  double s_ = 0.0;       ///< phase I's s
+  double ds_ = 0.0;      ///< phase I's step in s
   bool value_current_ = false;
   double value_ = kInf;
 };
@@ -367,26 +430,55 @@ const char* to_string(SolveStatus status) {
   return "?";
 }
 
-void SolverWorkspace::resize(std::size_t n, std::size_t socs) {
+void DirectionalForm::load(const linalg::Matrix& a, const linalg::Vector& w) {
+  quad = linalg::sym_matvec_quad(a, w, aw);
+  cross = 0.0;
+  curv = 0.0;
+}
+
+void DirectionalForm::set_direction(const linalg::Matrix& a,
+                                    const linalg::Vector& d) {
+  curv = linalg::sym_matvec_quad(a, d, ad);
+  cross = linalg::dot(aw, d);
+}
+
+void DirectionalForm::advance(double alpha, const linalg::Vector& w) {
+  aw.axpy(alpha, ad);
+  quad = linalg::dot(w, aw);
+}
+
+void SolverWorkspace::resize(const ConvexProblem& problem) {
+  const std::size_t n = problem.dim();
+  const std::size_t socs = problem.soc().size();
+  const std::size_t sigmas = problem.structure().sigma_count();
   if (hess.rows() != n || hess.cols() != n) {
     grad = linalg::Vector(n);
     dx = linalg::Vector(n);
     w = linalg::Vector(n);
-    cand = linalg::Vector(n);
     hess = linalg::Matrix(n, n);
     factor = linalg::Matrix(n, n);
     hess1 = linalg::Matrix(n + 1, n + 1);
     factor1 = linalg::Matrix(n + 1, n + 1);
     grad1 = linalg::Vector(n + 1);
     dz = linalg::Vector(n + 1);
-    soc_grad = linalg::Vector(n);
   }
-  for (std::vector<Cone>* set : {&cones, &trial_cones}) {
-    if (set->size() < socs) set->resize(socs);
-    for (Cone& cone : *set) {
-      if (cone.sigma_w.size() != n) cone.sigma_w = linalg::Vector(n);
+  if (forms.size() < 1 + sigmas) forms.resize(1 + sigmas);
+  for (DirectionalForm& f : forms) {
+    if (f.aw.size() != n) {
+      f.aw = linalg::Vector(n);
+      f.ad = linalg::Vector(n);
     }
   }
+  if (cones.size() < socs) cones.resize(socs);
+  for (Cone& cone : cones) {
+    if (cone.grad.size() != n) cone.grad = linalg::Vector(n);
+  }
+  if (rows.size() < problem.linear().size()) {
+    rows.resize(problem.linear().size());
+  }
+  if (sigma_weight.size() < sigmas) sigma_weight.resize(sigmas);
+  const std::size_t terms = problem.linear().size() + socs + sigmas;
+  if (rank1.size() < terms) rank1.resize(terms);
 }
 
 Status validate_warm_start(
@@ -414,7 +506,7 @@ BarrierResult BarrierSolver::solve(
 
   SolverWorkspace local;
   SolverWorkspace& ws = workspace != nullptr ? *workspace : local;
-  ws.resize(problem.dim(), problem.soc().size());
+  ws.resize(problem);
 
   const Box box = inflate_box(problem.box(), barrier::kMinBoxWidth);
 

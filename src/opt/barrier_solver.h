@@ -20,6 +20,9 @@
 // every Newton-loop buffer, so repeated solves over the same problem
 // shape (the branch-and-bound inner loop) perform zero steady-state heap
 // allocations; a strictly feasible warm start skips phase I entirely.
+// The line search is directional: every quadratic form is expanded along
+// the Newton step once per step, so a backtracking trial costs O(1) per
+// row and per cone plus the O(n) box logs.
 #pragma once
 
 #include <optional>
@@ -80,8 +83,35 @@ struct BarrierResult {
   int newton_iterations = 0;   ///< Newton steps, both phases combined
   int factorizations = 0;      ///< Cholesky attempts (jitter retries incl.)
   int line_search_trials = 0;  ///< backtracking trial points, both phases
+  /// Centering stages, both phases, that ran all kMaxNewtonPerStage
+  /// steps without centering (a jammed stage).
+  int stage_limit_hits = 0;
   bool phase1_skipped = false; ///< warm start was strictly feasible
   double duality_gap = 0.0;    ///< m/t at exit
+};
+
+/// A quadratic form xᵀAx along the line x = w + α·d, kept as A·w, A·d
+/// and the scalars wᵀAw, wᵀAd and dᵀAd, so that any point of the line
+/// costs O(1): (w+αd)ᵀA(w+αd) = wᵀAw + α(2wᵀAd + α dᵀAd).  A must be
+/// symmetric.  The buffers must already have the dimension of w.
+struct DirectionalForm {
+  linalg::Vector aw, ad;  ///< A·w and A·d
+  double quad = 0.0;      ///< wᵀAw
+  double cross = 0.0;     ///< wᵀAd
+  double curv = 0.0;      ///< dᵀAd
+
+  /// Forms A·w and wᵀAw afresh (O(n²)), with the direction set to 0.
+  void load(const linalg::Matrix& a, const linalg::Vector& w);
+  /// Sets the direction d: A·d and dᵀAd (O(n²)), wᵀAd from A·w (O(n)).
+  void set_direction(const linalg::Matrix& a, const linalg::Vector& d);
+  /// (w+αd)ᵀA(w+αd) from the cached terms.
+  double at(double alpha) const {
+    return quad + alpha * (2.0 * cross + alpha * curv);
+  }
+  /// Moves the base point to `moved` = w + αd: A·w by one axpy (O(n)),
+  /// then wᵀAw re-read from it, so the scalar never drifts from the
+  /// vector.
+  void advance(double alpha, const linalg::Vector& moved);
 };
 
 /// Reusable scratch memory for the solver's Newton loops.  One workspace
@@ -91,32 +121,47 @@ struct BarrierResult {
 /// runs without touching the heap.  Contents are meaningless between
 /// solves; never share one workspace between concurrent solves.
 struct SolverWorkspace {
-  /// Ensures capacity for dimension n with k SOC constraints.  No-op
-  /// (and allocation-free) when the shape already matches.
-  void resize(std::size_t n, std::size_t socs);
+  /// Ensures capacity for `problem`'s shape: its dimension, linear rows,
+  /// SOC cones and distinct Σ.  No-op (and allocation-free) when the
+  /// shape already matches.
+  void resize(const ConvexProblem& problem);
 
-  // Both phases (dimension n): the w-gradient, the step in w, the iterate
-  // and the line-search candidate.
-  linalg::Vector grad, dx, w, cand;
+  // Both phases (dimension n): the iterate, the w-gradient, the step in w.
+  linalg::Vector w, grad, dx;
   // Phase II's Newton system (n × n).
   linalg::Matrix hess, factor;
   // Phase I's Newton system in the lifted (w, s) (dimension n+1).
   linalg::Matrix hess1, factor1;
   linalg::Vector grad1, dz;
-  /// One SOC constraint evaluated at a point: Σⱼw, the root
-  /// sqrt(wᵀΣⱼw + eps) and the residual gⱼ(w).
+  /// The quadratic forms along the current step: forms[0] is the
+  /// objective's Q, forms[1 + k] the structure's distinct Σ number k.
+  std::vector<DirectionalForm> forms;
+  /// One SOC cone along the step: cᵀw, cᵀd, and its gradient at w.
   struct Cone {
-    linalg::Vector sigma_w;
-    double root = 0.0;
-    double residual = 0.0;
+    linalg::Vector grad;
+    double cw = 0.0;
+    double cd = 0.0;
   };
-  // Per-SOC evaluations at the iterate (`cones`) and at the latest
-  // line-search trial point (`trial_cones`).  Accepting a trial swaps the
-  // two, so the next Hessian assembly reuses the trial's evaluations
-  // instead of recomputing them.  solve() tracks which ones are current
-  // itself; nothing here is trusted across solve() calls.
-  std::vector<Cone> cones, trial_cones;
-  linalg::Vector soc_grad;
+  std::vector<Cone> cones;
+  /// One linear row along the step: aᵀw and aᵀd.
+  struct Row {
+    double aw = 0.0;
+    double ad = 0.0;
+  };
+  std::vector<Row> rows;
+  /// Newton-assembly scratch: per distinct Σ, its weight in the Hessian
+  /// and that of the rank-1 term (Σw)(Σw)ᵀ; and the rank-1 terms c·v·vᵀ
+  /// (vector, coefficient).
+  struct SigmaWeight {
+    double scale = 0.0;
+    double outer = 0.0;
+  };
+  std::vector<SigmaWeight> sigma_weight;
+  struct Rank1 {
+    const double* v = nullptr;
+    double c = 0.0;
+  };
+  std::vector<Rank1> rank1;
 };
 
 /// The solver.  Stateless; safe to reuse and to share between threads.

@@ -275,6 +275,8 @@ void publish(const NodeStats& stats, obs::MetricsRegistry& registry,
       .add(stats.factorizations);
   registry.counter("solver.line_search_trials", labels)
       .add(stats.line_search_trials);
+  registry.counter("solver.stage_limit_hits", labels)
+      .add(stats.stage_limit_hits);
   registry.counter("solver.polish_exact_evals", labels)
       .add(stats.polish_exact_evals);
 }

@@ -37,6 +37,8 @@ struct NodeStats {
   std::uint64_t newton_iterations = 0; ///< Newton steps, both phases
   std::uint64_t factorizations = 0;    ///< Cholesky attempts
   std::uint64_t line_search_trials = 0;  ///< trial points, both phases
+  /// Centering stages that ran out of Newton steps (both phases).
+  std::uint64_t stage_limit_hits = 0;
   /// Incumbent-polish moves costed exactly (those the O(1) screen let by).
   std::uint64_t polish_exact_evals = 0;
 
@@ -46,6 +48,7 @@ struct NodeStats {
     newton_iterations += o.newton_iterations;
     factorizations += o.factorizations;
     line_search_trials += o.line_search_trials;
+    stage_limit_hits += o.stage_limit_hits;
     polish_exact_evals += o.polish_exact_evals;
     return *this;
   }

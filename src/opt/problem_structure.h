@@ -46,22 +46,31 @@ class ProblemStructure {
 
   const linalg::Matrix& objective_matrix() const { return q_; }
 
-  /// Max |Q_ij|, precomputed at construction (Hessian scale estimates).
-  double objective_norm_max() const { return q_norm_max_; }
-
   /// Appends a linear inequality (dimension must match).
   void add_linear(LinearConstraint constraint);
   const std::vector<LinearConstraint>& linear() const { return linear_; }
 
   /// Appends a SOC constraint (dimension must match, beta >= 0, eps > 0).
+  /// A Σ bitwise equal to an earlier cone's is recorded as shared, so
+  /// the solver forms Σw once for both (LDA-FP's two cones per class).
   void add_soc(SocConstraint constraint);
   const std::vector<SocConstraint>& soc() const { return soc_; }
 
+  /// Number of distinct Σ among the cones (bitwise comparison).
+  std::size_t sigma_count() const { return sigma_cone_.size(); }
+  /// Index, in [0, sigma_count()), of the distinct Σ cone j uses.
+  std::size_t sigma_slot(std::size_t j) const { return sigma_slot_[j]; }
+  /// Distinct Σ number k (the first cone's copy).
+  const linalg::Matrix& sigma(std::size_t k) const {
+    return soc_[sigma_cone_[k]].sigma;
+  }
+
  private:
   linalg::Matrix q_;
-  double q_norm_max_ = 0.0;
   std::vector<LinearConstraint> linear_;
   std::vector<SocConstraint> soc_;
+  std::vector<std::size_t> sigma_slot_;  ///< per cone: its distinct Σ
+  std::vector<std::size_t> sigma_cone_;  ///< per distinct Σ: first cone
 };
 
 }  // namespace ldafp::opt

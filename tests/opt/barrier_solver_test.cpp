@@ -5,7 +5,9 @@
 #include <cmath>
 #include <limits>
 
+#include "linalg/ops.h"
 #include "support/error.h"
+#include "support/rng.h"
 
 namespace ldafp::opt {
 namespace {
@@ -235,16 +237,16 @@ void expect_bitwise_equal(const BarrierResult& got, const BarrierResult& want,
 }
 
 TEST(BarrierSolverTest, StaleConeCacheIsNeverTrustedAcrossSolves) {
-  // Each accepted line-search trial hands its cone evaluations to the
-  // next Hessian assembly through the workspace, in both phases.  A
-  // workspace left stale by a different problem of the same shape has
-  // every buffer sized right, so a solver that trusted those evaluations
-  // at entry would use them silently.  Cold solves (phase I, then t from
-  // 1) and warm ones (which start from the warm-start check's
-  // evaluations) must both match fresh scratch memory bit for bit,
-  // through several centering stages, where the cone cache is kept and
-  // the cached barrier value is dropped.  The second case's box center
-  // violates a cone, so its cold solves run phase I through the cones.
+  // The workspace carries each Σw (and Qw) from step to step, moved by
+  // one axpy per accepted step, in both phases.  A workspace left stale
+  // by a different problem of the same shape has every buffer sized
+  // right, so a solver that trusted those vectors at entry would use
+  // them silently.  Cold solves (phase I, then t from 1) and warm ones
+  // (which start from the warm-start check's evaluations) must both
+  // match fresh scratch memory bit for bit, through several centering
+  // stages, where the vectors are kept and the cached barrier value is
+  // dropped.  The second case's box center violates a cone, so its cold
+  // solves run phase I through the cones.
   const double m = static_cast<double>(cone_problem(0.0).constraint_count());
   for (const double cap : {6.0, 1.0}) {
     SCOPED_TRACE(cap);
@@ -319,6 +321,174 @@ TEST(BarrierSolverTest, LowerBoundNeverExceedsTrueOptimum) {
     const BarrierResult r = BarrierSolver().solve(p);
     EXPECT_LE(r.lower_bound, a * a + 1e-9) << "a=" << a;
     EXPECT_GE(r.lower_bound, a * a - 0.05 * (1.0 + a * a)) << "a=" << a;
+  }
+}
+
+// --- The directional line search (DESIGN.md §10) ---------------------------
+
+/// γ_k = k·u / (1 − k·u), the standard bound on the relative rounding
+/// error of k chained floating-point operations (u = 2⁻⁵³).
+double gamma(double k) {
+  const double u = std::ldexp(1.0, -53);
+  return k * u / (1.0 - k * u);
+}
+
+/// |x|ᵀ|A||y|.
+double abs_form(const Matrix& a, const Vector& x, const Vector& y) {
+  double s = 0.0;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) {
+      s += std::fabs(x[r]) * std::fabs(a(r, c)) * std::fabs(y[c]);
+    }
+  }
+  return s;
+}
+
+Vector random_vector(std::size_t n, double lo, double hi, support::Rng& rng) {
+  Vector v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = rng.uniform(lo, hi);
+  return v;
+}
+
+/// An Eq. 25-shaped problem: objective Q, box [-1, 1]ⁿ, the two rows
+/// l ≤ dᵀw ≤ u (which exclude w = 0, so a cold solve runs phase I) and
+/// four cones β√(wᵀΣw + ε) ∓ μᵀw ≤ D over two distinct Σ, two per Σ.
+ConvexProblem lda_shaped_problem(std::size_t n, support::Rng& rng) {
+  ConvexProblem p(linalg::random_spd(n, 0.5, 4.0, rng));
+  p.set_box(Box(n, Interval{-1.0, 1.0}));
+  const Vector d = random_vector(n, -1.0, 1.0, rng);
+  double d1 = 0.0;
+  for (const double v : d) d1 += std::fabs(v);
+  p.add_linear({d, 0.3 * d1});
+  Vector neg = d;
+  neg *= -1.0;
+  p.add_linear({neg, -0.05 * d1});
+  for (int cls = 0; cls < 2; ++cls) {
+    const Matrix sigma = linalg::random_spd(n, 0.2, 2.0, rng);
+    const Vector mu = random_vector(n, -0.5, 0.5, rng);
+    double mu1 = 0.0;
+    for (const double v : mu) mu1 += std::fabs(v);
+    for (const double sign : {-1.0, 1.0}) {
+      SocConstraint soc;
+      soc.beta = 1.0;
+      soc.sigma = sigma;
+      soc.c = mu;
+      soc.c *= sign;
+      soc.d = 2.0 + 0.1 * mu1;
+      p.add_soc(soc);
+    }
+  }
+  return p;
+}
+
+TEST(BarrierSolverTest, DirectionalExpansionMatchesFreshEvaluation) {
+  // Every backtracking trial reads the objective and the cone residuals
+  // at w + αd from terms formed once per step.  Against a fresh O(n²)
+  // evaluation at the rounded point, the difference must stay within
+  // the dot-product error bound of both sides: 2γ_{2n+4} times
+  // (|w|+α|d|)ᵀ|A|(|w|+α|d|) for a form, and for a residual its
+  // propagation through the root plus the linear part's own bound.
+  support::Rng rng(181);
+  const double u = std::ldexp(1.0, -53);
+  for (const std::size_t n : {3u, 12u, 43u}) {
+    SCOPED_TRACE(n);
+    const ConvexProblem p = lda_shaped_problem(n, rng);
+    const ProblemStructure& st = p.structure();
+    ASSERT_EQ(st.sigma_count(), 2u);
+    const Vector w = random_vector(n, -1.0, 1.0, rng);
+    const Vector d = random_vector(n, -2.0, 2.0, rng);
+
+    DirectionalForm q;
+    q.aw = Vector(n);
+    q.ad = Vector(n);
+    std::vector<DirectionalForm> sigmas(2, q);
+    q.load(p.objective_matrix(), w);
+    q.set_direction(p.objective_matrix(), d);
+    for (std::size_t k = 0; k < 2; ++k) {
+      sigmas[k].load(st.sigma(k), w);
+      sigmas[k].set_direction(st.sigma(k), d);
+    }
+
+    for (int e = 0; e <= 40; ++e) {
+      const double alpha = std::ldexp(1.0, -e);
+      Vector x = w;
+      x.axpy(alpha, d);
+      Vector span(n);  // |w| + α|d|
+      for (std::size_t i = 0; i < n; ++i) {
+        span[i] = std::fabs(w[i]) + alpha * std::fabs(d[i]);
+      }
+      const double form_tol = 2.0 * gamma(2.0 * n + 4.0);
+
+      const double obj_tol =
+          form_tol * abs_form(p.objective_matrix(), span, span);
+      EXPECT_NEAR(q.at(alpha), p.objective(x), obj_tol) << "alpha=2^-" << e;
+
+      for (std::size_t j = 0; j < p.soc().size(); ++j) {
+        const SocConstraint& soc = p.soc()[j];
+        const DirectionalForm& f = sigmas[st.sigma_slot(j)];
+        const double quad_tol = form_tol * abs_form(soc.sigma, span, span);
+        const double root = std::sqrt(std::max(f.at(alpha), 0.0) + soc.eps);
+        const double cx =
+            linalg::dot(soc.c, w) + alpha * linalg::dot(soc.c, d);
+        const double expanded = soc.beta * root + cx - soc.d;
+        const double fresh = p.soc_residual(j, x);
+        const double fresh_root =
+            std::sqrt(std::max(linalg::quadratic_form(soc.sigma, x), 0.0) +
+                      soc.eps);
+        double c_span = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          c_span += std::fabs(soc.c[i]) * span[i];
+        }
+        const double root_tol =
+            (quad_tol + 2.0 * u * (root * root)) / (root + fresh_root) +
+            2.0 * u * root;
+        const double tol = soc.beta * root_tol +
+                           2.0 * gamma(n + 3.0) * c_span +
+                           4.0 * u * (soc.beta * root + std::fabs(cx) +
+                                      std::fabs(soc.d));
+        EXPECT_NEAR(expanded, fresh, tol) << "cone " << j << " alpha=2^-" << e;
+      }
+    }
+  }
+}
+
+TEST(BarrierSolverTest, AxpyUpdatedCachesMatchFreshMatvecs) {
+  // After a solve, each cached A·w (Q's and each distinct Σ's) has been
+  // advanced by one axpy per accepted step since it was last formed.
+  // Every step moves w inside the box, so |αd| ≤ 2b with b_i the box's
+  // largest |bound|, and the cache may drift from a fresh matvec at the
+  // final w by at most γ_{2K(n+2)+2n}·(|A|b)_i after K steps.
+  support::Rng rng(182);
+  for (const std::size_t n : {3u, 12u, 43u}) {
+    SCOPED_TRACE(n);
+    const ConvexProblem p = lda_shaped_problem(n, rng);
+    const ProblemStructure& st = p.structure();
+    const BarrierSolver solver;
+    SolverWorkspace ws;
+    const BarrierResult cold = solver.solve(p, std::nullopt, &ws);
+    ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+    ASSERT_FALSE(cold.phase1_skipped);
+    for (const bool warm : {false, true}) {
+      SCOPED_TRACE(warm);
+      const BarrierResult r =
+          warm ? solver.solve(p, cold.x, &ws) : solver.solve(p, std::nullopt,
+                                                             &ws);
+      ASSERT_EQ(r.status, SolveStatus::kOptimal);
+      EXPECT_EQ(r.phase1_skipped, warm);
+      const double steps = r.newton_iterations;
+      const double tol = gamma(2.0 * steps * (n + 2.0) + 2.0 * n);
+      for (std::size_t k = 0; k <= st.sigma_count(); ++k) {
+        const Matrix& a = k == 0 ? p.objective_matrix() : st.sigma(k - 1);
+        const Vector fresh = a * ws.w;
+        for (std::size_t i = 0; i < n; ++i) {
+          double bound = 0.0;
+          for (std::size_t c = 0; c < n; ++c) bound += std::fabs(a(i, c));
+          EXPECT_NEAR(ws.forms[k].aw[i], fresh[i], tol * bound)
+              << "form " << k << " i=" << i;
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(ws.w[i], r.x[i]);
+    }
   }
 }
 

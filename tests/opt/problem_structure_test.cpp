@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "linalg/matrix.h"
@@ -125,6 +126,48 @@ TEST(ProblemStructureTest, ValidatesShapes) {
   const auto structure = builder.share_structure();
   EXPECT_THROW(ConvexProblem(structure, Box(3, Interval{0.0, 1.0})),
                ldafp::InvalidArgumentError);
+}
+
+SocConstraint cone_with(const Matrix& sigma, double d) {
+  SocConstraint soc;
+  soc.beta = 1.0;
+  soc.sigma = sigma;
+  soc.c = Vector(sigma.rows());
+  soc.d = d;
+  return soc;
+}
+
+TEST(ProblemStructureTest, BitwiseEqualSigmasAreShared) {
+  // LDA-FP adds two cones per class over the class's Σ; the solver forms
+  // Σw once per distinct Σ.
+  const Matrix sa{{2.0, 0.5}, {0.5, 1.0}};
+  const Matrix sb{{1.0, -0.25}, {-0.25, 3.0}};
+  ProblemStructure s(Matrix::identity(2));
+  s.add_soc(cone_with(sa, 1.0));
+  s.add_soc(cone_with(sa, 2.0));
+  s.add_soc(cone_with(sb, 1.0));
+  s.add_soc(cone_with(Matrix(sb), 2.0));  // a separate, equal copy
+  ASSERT_EQ(s.sigma_count(), 2u);
+  EXPECT_EQ(s.sigma_slot(0), 0u);
+  EXPECT_EQ(s.sigma_slot(1), 0u);
+  EXPECT_EQ(s.sigma_slot(2), 1u);
+  EXPECT_EQ(s.sigma_slot(3), 1u);
+  EXPECT_EQ(s.sigma(0)(0, 1), 0.5);
+  EXPECT_EQ(s.sigma(1)(1, 1), 3.0);
+}
+
+TEST(ProblemStructureTest, SigmaOneUlpApartIsNotShared) {
+  const Matrix sa{{2.0, 0.5}, {0.5, 1.0}};
+  Matrix near = sa;
+  near(1, 1) = std::nextafter(1.0, 2.0);
+  ProblemStructure s(Matrix::identity(2));
+  s.add_soc(cone_with(sa, 1.0));
+  s.add_soc(cone_with(near, 1.0));
+  s.add_soc(cone_with(sa, 2.0));
+  ASSERT_EQ(s.sigma_count(), 2u);
+  EXPECT_EQ(s.sigma_slot(0), 0u);
+  EXPECT_EQ(s.sigma_slot(1), 1u);
+  EXPECT_EQ(s.sigma_slot(2), 0u);
 }
 
 }  // namespace
