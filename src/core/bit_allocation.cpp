@@ -18,9 +18,8 @@ MixedClassifier::MixedClassifier(fixed::MixedFormat layout,
                                  fixed::RoundingMode mode)
     : layout_(std::move(layout)),
       weights_(std::move(weights)),
-      threshold_(fixed::Fixed::from_real_saturate(feature_fmt, threshold,
-                                                  mode)),
       feature_fmt_(feature_fmt),
+      threshold_raw_(feature_fmt.quantize_saturate(threshold, mode)),
       mode_(mode) {
   LDAFP_CHECK(weights_.size() == layout_.size(),
               "mixed classifier dimension mismatch");
@@ -30,9 +29,9 @@ MixedClassifier::MixedClassifier(fixed::MixedFormat layout,
 
 Label MixedClassifier::classify(const linalg::Vector& x,
                                 fixed::DotDiagnostics* diag) const {
-  const fixed::Fixed y = fixed::mixed_dot_datapath(
+  const std::int64_t y = fixed::mixed_dot_datapath(
       layout_, weights_, x, feature_fmt_, mode_, diag);
-  return y.raw() >= threshold_.raw() ? Label::kClassA : Label::kClassB;
+  return y >= threshold_raw_ ? Label::kClassA : Label::kClassB;
 }
 
 MixedClassifier BitAllocationResult::classifier(

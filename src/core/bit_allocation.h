@@ -13,6 +13,8 @@
 // mixed-format datapath (fixed/mixed_dot.h).
 #pragma once
 
+#include <cstdint>
+
 #include "core/classifier.h"
 #include "core/training_set.h"
 #include "fixed/mixed_dot.h"
@@ -31,7 +33,9 @@ class MixedClassifier {
 
   const fixed::MixedFormat& layout() const { return layout_; }
   const linalg::Vector& weights() const { return weights_; }
-  double threshold_real() const { return threshold_.to_real(); }
+  double threshold_real() const {
+    return feature_fmt_.to_real(threshold_raw_);
+  }
   std::size_t dim() const { return weights_.size(); }
 
   /// Eq. 12 decision through the mixed datapath.
@@ -41,8 +45,8 @@ class MixedClassifier {
  private:
   fixed::MixedFormat layout_;
   linalg::Vector weights_;
-  fixed::Fixed threshold_;
   fixed::FixedFormat feature_fmt_;
+  std::int64_t threshold_raw_;  ///< threshold word in feature_fmt_
   fixed::RoundingMode mode_;
 };
 

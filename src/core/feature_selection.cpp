@@ -1,6 +1,5 @@
 #include "core/feature_selection.h"
 
-#include "linalg/cholesky.h"
 #include "linalg/ops.h"
 #include "stats/descriptive.h"
 #include "support/error.h"

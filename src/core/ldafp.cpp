@@ -1,6 +1,5 @@
 #include "core/ldafp.h"
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -12,7 +11,6 @@
 #include "stats/normal.h"
 #include "support/error.h"
 #include "support/log.h"
-#include "support/str.h"
 #include "support/timer.h"
 
 namespace ldafp::core {
@@ -78,12 +76,6 @@ class LdaFpSearchProblem : public opt::BnbProblem {
     structure_ = builder.share_structure();
   }
 
-  std::size_t relaxations_solved() const { return relaxations_.load(); }
-
-  opt::NodeBounds bound(const opt::Box& box) override {
-    return bound(box, opt::BoundContext{});
-  }
-
   opt::NodeBounds bound(const opt::Box& box,
                         const opt::BoundContext& ctx) override {
     opt::NodeBounds out;
@@ -97,7 +89,6 @@ class LdaFpSearchProblem : public opt::BnbProblem {
     const double secondary = lambda_min_ * res * res / eta_sup;
 
     const opt::ConvexProblem relaxation = build_relaxation(box);
-    relaxations_.fetch_add(1, std::memory_order_relaxed);
     opt::BarrierResult solve = opt::BarrierSolver().solve(
         relaxation, make_seed(ctx, box), &thread_workspace());
     out.stats.relaxations = 1;
@@ -374,10 +365,6 @@ class LdaFpSearchProblem : public opt::BnbProblem {
   double lambda_min_ = 0.0;
   /// Immutable relaxation structure shared by every node view.
   std::shared_ptr<const opt::ProblemStructure> structure_;
-  /// bound() may run concurrently from the solver's speculation workers
-  /// (the BnbProblem concurrency contract); this telemetry counter is
-  /// the class's only mutable state, so an atomic keeps it honest.
-  std::atomic<std::size_t> relaxations_{0};
 };
 
 }  // namespace
@@ -456,18 +443,8 @@ LdaFpResult LdaFpTrainer::train(const TrainingSet& data) const {
   }
 
   // Steps 4-6: the branch-and-bound search.
-  opt::BnbOptions bnb = options_.bnb;
-  if (options_.log_progress && !bnb.progress) {
-    bnb.progress = [](const opt::BnbResult& s) {
-      support::log_info(
-          "ldafp: nodes " + std::to_string(s.nodes_processed) +
-          ", incumbent " + support::format_double(s.best_value, 6) +
-          ", bound " + support::format_double(s.lower_bound, 6) + ", " +
-          support::format_double(s.seconds, 1) + "s");
-    };
-  }
   stage.reset();  // the search traces itself as "bnb.run"
-  const opt::BnbSolver solver(bnb);
+  const opt::BnbSolver solver(options_.bnb);
   result.search = solver.run(problem, root, incumbent);
   result.train_seconds = timer.seconds();
 

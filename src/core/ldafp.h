@@ -68,11 +68,6 @@ struct LdaFpOptions {
   stats::CovarianceEstimator covariance =
       stats::CovarianceEstimator::kEmpirical;
 
-  /// Log anytime progress (incumbent cost / bound / nodes) at INFO level
-  /// every bnb.progress_interval nodes.  A custom bnb.progress callback,
-  /// when set, takes precedence.
-  bool log_progress = false;
-
   /// Checks the trainer knobs plus the nested bnb options;
   /// called once by the LdaFpTrainer constructor.  The observability
   /// seam rides in `bnb.sink`: when set, train() additionally traces

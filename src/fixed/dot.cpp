@@ -1,6 +1,5 @@
 #include "fixed/dot.h"
 
-#include "fixed/value.h"
 #include "support/error.h"
 
 namespace ldafp::fixed {
@@ -30,7 +29,7 @@ std::int64_t dot_narrow(const std::int64_t* w, const std::int64_t* x,
     std::uint64_t sum = 0;
     for (std::size_t m = 0; m < n; ++m) {
       sum += static_cast<std::uint64_t>(
-          Fixed::narrow_raw(w[m] * x[m], fmt.frac_bits(), mode));
+          narrow_raw(w[m] * x[m], fmt.frac_bits(), mode));
     }
     return fmt.wrap_raw(static_cast<std::int64_t>(sum));
   }
@@ -44,7 +43,7 @@ std::int64_t dot_narrow(const std::int64_t* w, const std::int64_t* x,
     // value outside [raw_min, raw_max] overflowed even if the wrap lands
     // back on an in-range word.
     const std::int64_t narrowed =
-        Fixed::narrow_raw(w[m] * x[m], fmt.frac_bits(), mode);
+        narrow_raw(w[m] * x[m], fmt.frac_bits(), mode);
     if (narrowed < fmt.raw_min() || narrowed > fmt.raw_max()) {
       ++diag->product_overflows;
     }
@@ -95,7 +94,7 @@ std::int64_t dot_wide(const std::int64_t* w, const std::int64_t* x,
         exact_sum < wide.raw_min() || exact_sum > wide.raw_max();
   }
   // Final rounding stage: drop F fractional bits, wrap into QK.F.
-  return fmt.wrap_raw(Fixed::narrow_raw(acc, fmt.frac_bits(), mode));
+  return fmt.wrap_raw(narrow_raw(acc, fmt.frac_bits(), mode));
 }
 
 }  // namespace
@@ -109,7 +108,7 @@ std::int64_t dot_datapath_raw(const std::int64_t* w, const std::int64_t* x,
   // Signed-overflow envelope: a raw product needs 2W-1 bits, and the
   // wrapped wide accumulator plus one product needs K+2F+1 more head
   // room; W <= 31 together with K+2F <= 62 keeps every intermediate
-  // inside int64 (same bound as Fixed::mul_wrap).
+  // inside int64.
   LDAFP_CHECK(fmt.word_length() <= 31,
               "dot_datapath limited to word lengths <= 31 bits "
               "(raw products must fit int64)");

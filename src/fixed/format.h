@@ -111,4 +111,38 @@ inline std::int64_t round_real_to_int(double value, RoundingMode mode) {
   return 0;
 }
 
+/// Drops `frac_bits` low-order bits from a raw value with rounding —
+/// the multiplier's product-narrowing stage (scale 2^-2F -> 2^-F), also
+/// used by the wide accumulator's final rounding.  Pure integer
+/// arithmetic, no wrapping.  Inline: the scalar MAC and the LNS adder
+/// call it on every step.
+inline std::int64_t narrow_raw(std::int64_t wide, int frac_bits,
+                               RoundingMode mode) {
+  if (frac_bits == 0) return wide;
+  const std::int64_t unit = std::int64_t{1} << frac_bits;
+  // floor division and remainder in [0, unit).
+  std::int64_t q = wide >> frac_bits;  // arithmetic shift = floor for 2^k
+  const std::int64_t r = wide - (q << frac_bits);
+  switch (mode) {
+    case RoundingMode::kFloor:
+      return q;
+    case RoundingMode::kTowardZero:
+      // floor for positives; for negatives with a remainder, bump up.
+      if (wide < 0 && r != 0) ++q;
+      return q;
+    case RoundingMode::kNearestAway: {
+      const std::int64_t half = unit >> 1;
+      if (r > half || (r == half && wide >= 0)) ++q;
+      // tie on a negative value rounds away from zero = down = keep floor
+      return q;
+    }
+    case RoundingMode::kNearestEven: {
+      const std::int64_t half = unit >> 1;
+      if (r > half || (r == half && (q & 1) != 0)) ++q;
+      return q;
+    }
+  }
+  return q;
+}
+
 }  // namespace ldafp::fixed

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "fixed/value.h"
 #include "support/error.h"
 
 namespace ldafp::fixed {
@@ -194,8 +193,8 @@ LnsValue lns_add(const LnsFormat& fmt, const LnsValue& a, const LnsValue& b) {
   const std::int64_t r_raw =
       d_int + 1 >= 62
           ? 0
-          : Fixed::narrow_raw(2 * one - d_frac, static_cast<int>(d_int) + 1,
-                              RoundingMode::kNearestEven);
+          : narrow_raw(2 * one - d_frac, static_cast<int>(d_int) + 1,
+                       RoundingMode::kNearestEven);
   if (hi.negative == lo.negative) {
     // Mitchell log: log2(1 + r) ≈ r.
     return LnsValue{false, hi.negative, hi.exp_raw + r_raw};

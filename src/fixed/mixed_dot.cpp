@@ -47,11 +47,11 @@ bool MixedFormat::on_grid(const linalg::Vector& w) const {
   return true;
 }
 
-Fixed mixed_dot_datapath(const MixedFormat& layout,
-                         const linalg::Vector& weights,
-                         const linalg::Vector& x,
-                         const FixedFormat& feature_fmt, RoundingMode mode,
-                         DotDiagnostics* diag) {
+std::int64_t mixed_dot_datapath(const MixedFormat& layout,
+                                const linalg::Vector& weights,
+                                const linalg::Vector& x,
+                                const FixedFormat& feature_fmt,
+                                RoundingMode mode, DotDiagnostics* diag) {
   LDAFP_CHECK(weights.size() == layout.size() && x.size() == layout.size(),
               "mixed dot dimension mismatch");
   LDAFP_CHECK(feature_fmt.integer_bits() == layout.integer_bits(),
@@ -87,9 +87,7 @@ Fixed mixed_dot_datapath(const MixedFormat& layout,
         exact_sum < acc_fmt.raw_min() || exact_sum > acc_fmt.raw_max();
   }
   // Output stage: round the accumulator down to the feature format.
-  const std::int64_t narrowed =
-      Fixed::narrow_raw(acc, layout.max_frac_bits(), mode);
-  return Fixed::from_raw(feature_fmt, narrowed);
+  return feature_fmt.wrap_raw(narrow_raw(acc, layout.max_frac_bits(), mode));
 }
 
 }  // namespace ldafp::fixed

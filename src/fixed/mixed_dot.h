@@ -16,7 +16,6 @@
 
 #include "fixed/dot.h"
 #include "fixed/format.h"
-#include "fixed/value.h"
 #include "linalg/vector.h"
 
 namespace ldafp::fixed {
@@ -56,13 +55,13 @@ class MixedFormat {
 };
 
 /// Mixed-format dot product against features in `feature_fmt` (must share
-/// the integer-bit count).  Weights must be on their grids.  Result is in
-/// `feature_fmt`.  Diagnostics as in dot_datapath.
-Fixed mixed_dot_datapath(const MixedFormat& layout,
-                         const linalg::Vector& weights,
-                         const linalg::Vector& x,
-                         const FixedFormat& feature_fmt,
-                         RoundingMode mode = RoundingMode::kNearestEven,
-                         DotDiagnostics* diag = nullptr);
+/// the integer-bit count).  Weights must be on their grids.  Returns the
+/// raw word in `feature_fmt`.  Diagnostics as in dot_datapath.
+std::int64_t mixed_dot_datapath(const MixedFormat& layout,
+                                const linalg::Vector& weights,
+                                const linalg::Vector& x,
+                                const FixedFormat& feature_fmt,
+                                RoundingMode mode = RoundingMode::kNearestEven,
+                                DotDiagnostics* diag = nullptr);
 
 }  // namespace ldafp::fixed

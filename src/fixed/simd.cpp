@@ -111,7 +111,7 @@ DotPlan make_plan(const std::int64_t* weights, std::size_t dim,
   // two W-bit words needs 2W-1 bits and the per-step wrapped accumulator
   // holds K+2F bits, so W <= 31 and K+2F <= 62 keep every intermediate
   // inside int64.  Larger formats are legal FixedFormats but cannot be
-  // scored on this datapath (same bound as Fixed::mul_wrap).
+  // scored on this datapath (same bound as dot_datapath_raw).
   LDAFP_CHECK(fmt.word_length() <= 31,
               "scoring datapath limited to word lengths <= 31 bits "
               "(raw products must fit int64)");

@@ -39,7 +39,7 @@ inline __m256i mul_words(__m256i a, __m256i b) {
   return _mm256_mul_epi32(a, b);
 }
 
-/// Fixed::narrow_raw on 4 lanes: drop f low-order bits with rounding.
+/// narrow_raw on 4 lanes: drop f low-order bits with rounding.
 inline __m256i narrow_round(__m256i v, int f, RoundingMode mode) {
   if (f == 0) return v;
   const __m256i q = srai64(v, f);  // floor(v / 2^f)

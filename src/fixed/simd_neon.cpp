@@ -34,7 +34,7 @@ inline int64x2_t bump_where(int64x2_t q, uint64x2_t mask) {
   return vsubq_s64(q, vreinterpretq_s64_u64(mask));
 }
 
-/// Fixed::narrow_raw on 2 lanes: drop f low-order bits with rounding.
+/// narrow_raw on 2 lanes: drop f low-order bits with rounding.
 inline int64x2_t narrow_round(int64x2_t v, int f, RoundingMode mode) {
   if (f == 0) return v;
   const int64x2_t q = srai64(v, f);  // floor(v / 2^f)

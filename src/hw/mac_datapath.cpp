@@ -59,7 +59,7 @@ MacTrace MacDatapath::run_twos_complement(const linalg::Vector& x) const {
     } else {
       // Rounding stage narrows the product to QK.F before the adder.
       const std::int64_t narrowed =
-          fixed::Fixed::narrow_raw(wide_product, fmt_.frac_bits(), mode_);
+          fixed::narrow_raw(wide_product, fmt_.frac_bits(), mode_);
       if (narrowed < fmt_.raw_min() || narrowed > fmt_.raw_max()) {
         ++trace.product_overflows;
       }
@@ -79,7 +79,7 @@ MacTrace MacDatapath::run_twos_complement(const linalg::Vector& x) const {
   std::int64_t result = acc;
   if (acc_ == fixed::AccumulatorMode::kWide) {
     result = fmt_.wrap_raw(
-        fixed::Fixed::narrow_raw(acc, fmt_.frac_bits(), mode_));
+        fixed::narrow_raw(acc, fmt_.frac_bits(), mode_));
   }
   trace.result_raw = result;
   // Comparator cycle.

@@ -26,7 +26,6 @@
 #include "fixed/datapath.h"
 #include "fixed/dot.h"
 #include "fixed/format.h"
-#include "fixed/value.h"
 #include "linalg/vector.h"
 
 namespace ldafp::hw {

@@ -33,7 +33,6 @@ Lu::Lu(const Matrix& a) : lu_(a) {
         std::swap(lu_(pivot, c), lu_(col, c));
       }
       std::swap(perm_[pivot], perm_[col]);
-      sign_ = -sign_;
     }
     const double inv_pivot = 1.0 / lu_(col, col);
     for (std::size_t r = col + 1; r < n; ++r) {
@@ -66,34 +65,6 @@ Vector Lu::solve(const Vector& b) const {
     x[i] = s / lu_(i, i);
   }
   return x;
-}
-
-Matrix Lu::solve(const Matrix& b) const {
-  LDAFP_CHECK(b.rows() == size(), "lu solve dimension mismatch");
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    x.set_col(c, solve(b.col(c)));
-  }
-  return x;
-}
-
-double Lu::det() const {
-  double d = sign_;
-  for (std::size_t i = 0; i < size(); ++i) d *= lu_(i, i);
-  return d;
-}
-
-Matrix Lu::inverse() const { return solve(Matrix::identity(size())); }
-
-double Lu::rcond_estimate() const {
-  double min_pivot = std::fabs(lu_(0, 0));
-  double max_pivot = min_pivot;
-  for (std::size_t i = 1; i < size(); ++i) {
-    const double p = std::fabs(lu_(i, i));
-    min_pivot = std::min(min_pivot, p);
-    max_pivot = std::max(max_pivot, p);
-  }
-  return max_pivot == 0.0 ? 0.0 : min_pivot / max_pivot;
 }
 
 }  // namespace ldafp::linalg

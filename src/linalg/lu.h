@@ -1,9 +1,9 @@
 // LU factorization with partial pivoting.
 //
 // This is the general linear solver behind conventional LDA's Eq. 11 when
-// the within-class scatter is indefinite/nearly singular, and behind matrix
-// inversion in tests.  Partial pivoting is the classic mitigation for
-// elimination round-off the paper alludes to in its introduction.
+// the within-class scatter is not positive definite (solve_spd_or_lu's
+// fallback).  Partial pivoting is the classic mitigation for elimination
+// round-off the paper alludes to in its introduction.
 #pragma once
 
 #include <vector>
@@ -26,23 +26,9 @@ class Lu {
   /// Solves A x = b.
   Vector solve(const Vector& b) const;
 
-  /// Solves A X = B column-by-column.
-  Matrix solve(const Matrix& b) const;
-
-  /// det(A), including the pivot sign.
-  double det() const;
-
-  /// A⁻¹ (small systems only).
-  Matrix inverse() const;
-
-  /// Reciprocal condition estimate in the max norm: a cheap lower bound
-  /// based on pivot magnitudes; 0 means numerically singular.
-  double rcond_estimate() const;
-
  private:
   Matrix lu_;                     // L (unit diagonal, below) and U (above)
   std::vector<std::size_t> perm_; // row permutation: solve uses b[perm_[i]]
-  int sign_ = 1;
 };
 
 }  // namespace ldafp::linalg

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "linalg/cholesky.h"
 #include "linalg/lu.h"
 #include "linalg/qr.h"
 #include "support/error.h"
@@ -10,11 +9,15 @@
 namespace ldafp::linalg {
 
 Vector solve_spd_or_lu(const Matrix& a, const Vector& b) {
-  try {
-    return Cholesky(a).solve(b);
-  } catch (const ldafp::NumericalError&) {
-    return Lu(a).solve(b);
-  }
+  LDAFP_CHECK(a.square() && a.rows() == b.size(),
+              "solve_spd_or_lu dimension mismatch");
+  LDAFP_CHECK(a.is_symmetric(1e-9 * (1.0 + a.norm_max())),
+              "solve_spd_or_lu requires a symmetric matrix");
+  Matrix factor = a;
+  if (!cholesky_factor_in_place(factor)) return Lu(a).solve(b);
+  Vector x = b;
+  cholesky_solve_in_place(factor, x);
+  return x;
 }
 
 double sym_matvec_quad(const Matrix& a, const Vector& x, Vector& out) {
@@ -29,26 +32,6 @@ double sym_matvec_quad(const Matrix& a, const Vector& x, Vector& out) {
     quad += x[r] * s;
   }
   return quad;
-}
-
-void sym_rank1_update(Matrix& h, double alpha, const Vector& v) {
-  LDAFP_CHECK(h.square() && h.rows() == v.size(),
-              "sym_rank1_update dimension mismatch");
-  const std::size_t n = v.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double avi = alpha * v[i];
-    if (avi == 0.0) continue;
-    for (std::size_t j = 0; j < n; ++j) h(i, j) += avi * v[j];
-  }
-}
-
-void add_scaled_matrix(Matrix& h, double alpha, const Matrix& a) {
-  LDAFP_CHECK(h.rows() == a.rows() && h.cols() == a.cols(),
-              "add_scaled_matrix shape mismatch");
-  const std::size_t count = h.rows() * h.cols();
-  double* hd = h.data();
-  const double* ad = a.data();
-  for (std::size_t i = 0; i < count; ++i) hd[i] += alpha * ad[i];
 }
 
 bool cholesky_factor_in_place(Matrix& a) {

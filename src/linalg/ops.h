@@ -7,9 +7,11 @@
 
 namespace ldafp::linalg {
 
-/// Solves A x = b for symmetric positive-definite A via Cholesky, falling
-/// back to pivoted LU when A is not PD (e.g. semidefinite scatter from
-/// degenerate data).  This is the solve used by conventional LDA (Eq. 11).
+/// Solves A x = b for symmetric positive-definite A via Cholesky (the
+/// in-place kernels below, on a copy), falling back to pivoted LU when A
+/// is not PD (e.g. semidefinite scatter from degenerate data).  This is
+/// the solve used by conventional LDA (Eq. 11).  Throws
+/// InvalidArgumentError when A is not symmetric.
 Vector solve_spd_or_lu(const Matrix& a, const Vector& b);
 
 // --- In-place kernels for the barrier solver's zero-allocation Newton
@@ -19,12 +21,6 @@ Vector solve_spd_or_lu(const Matrix& a, const Vector& b);
 /// Fused symmetric matvec + quadratic form: writes A x into `out`
 /// (which must already have x's dimension) and returns xᵀ A x.
 double sym_matvec_quad(const Matrix& a, const Vector& x, Vector& out);
-
-/// h += alpha * v vᵀ (symmetric rank-1 update; shapes must match).
-void sym_rank1_update(Matrix& h, double alpha, const Vector& v);
-
-/// h += alpha * a (same shape; no temporary).
-void add_scaled_matrix(Matrix& h, double alpha, const Matrix& a);
 
 /// In-place Cholesky: overwrites the lower triangle of `a` (diagonal
 /// included) with the factor L of A = L Lᵀ.  Reads and writes only the
@@ -44,8 +40,8 @@ Matrix random_gaussian_matrix(std::size_t rows, std::size_t cols,
                               support::Rng& rng);
 
 /// Random orthogonal matrix from the QR factorization of a Gaussian matrix
-/// (sign-corrected so the distribution is Haar-like).  Used to build
-/// structured covariances in the data generators and tests.
+/// (sign-corrected so the distribution is Haar-like).  random_spd builds
+/// the structured covariances of the tests and benches on it.
 Matrix random_orthogonal(std::size_t n, support::Rng& rng);
 
 /// Random symmetric positive-definite matrix with eigenvalues drawn

@@ -40,18 +40,6 @@ Qr::Qr(const Matrix& a)
   }
 }
 
-void Qr::apply_qt(Vector& v) const {
-  LDAFP_CHECK(v.size() == rows_, "qr apply dimension mismatch");
-  for (std::size_t k = 0; k < cols_; ++k) {
-    if (tau_[k] == 0.0) continue;
-    double s = v[k];
-    for (std::size_t i = k + 1; i < rows_; ++i) s += qr_(i, k) * v[i];
-    s *= tau_[k];
-    v[k] -= s;
-    for (std::size_t i = k + 1; i < rows_; ++i) v[i] -= s * qr_(i, k);
-  }
-}
-
 Matrix Qr::thin_q() const {
   // Accumulate Q e_j for the first cols_ basis vectors by applying the
   // reflectors in reverse.
@@ -79,23 +67,6 @@ Matrix Qr::thin_r() const {
     for (std::size_t j = i; j < cols_; ++j) r(i, j) = qr_(i, j);
   }
   return r;
-}
-
-Vector Qr::solve_least_squares(const Vector& b) const {
-  LDAFP_CHECK(b.size() == rows_, "qr solve dimension mismatch");
-  Vector y = b;
-  apply_qt(y);
-  Vector x(cols_);
-  for (std::size_t ii = cols_; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    if (qr_(i, i) == 0.0) {
-      throw ldafp::NumericalError("qr: rank-deficient least squares");
-    }
-    double s = y[i];
-    for (std::size_t k = i + 1; k < cols_; ++k) s -= qr_(i, k) * x[k];
-    x[i] = s / qr_(i, i);
-  }
-  return x;
 }
 
 }  // namespace ldafp::linalg

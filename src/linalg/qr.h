@@ -1,7 +1,7 @@
-// Householder QR factorization and least-squares solves.
+// Householder QR factorization.
 //
-// Used by tests (orthogonality properties, random rotation generation for
-// dataset construction) and by the whitening utilities in stats.
+// Its one caller is random_orthogonal (linalg/ops.h), which random_spd
+// builds on to draw the structured covariances of the tests and benches.
 #pragma once
 
 #include "linalg/matrix.h"
@@ -25,14 +25,7 @@ class Qr {
   /// Thin R factor (cols x cols, upper triangular).
   Matrix thin_r() const;
 
-  /// Minimum-norm least squares solution of min ||A x - b||_2.
-  /// Throws NumericalError when R is numerically singular.
-  Vector solve_least_squares(const Vector& b) const;
-
  private:
-  /// Applies Qᵀ to a vector in place.
-  void apply_qt(Vector& v) const;
-
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   Matrix qr_;       // R above the diagonal, Householder vectors below

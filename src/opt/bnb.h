@@ -108,16 +108,10 @@ class BnbProblem {
   virtual ~BnbProblem() = default;
 
   /// Bounds the objective over `box` (relaxation + rounding heuristic).
-  virtual NodeBounds bound(const Box& box) = 0;
-
-  /// Context-aware overload the driver actually calls: `ctx` carries the
-  /// parent's relaxation optimum for warm-starting.  The default ignores
-  /// the context, so existing problems are unaffected.  Overrides must
-  /// keep the result a pure function of (box, ctx) — see BoundContext.
-  virtual NodeBounds bound(const Box& box, const BoundContext& ctx) {
-    (void)ctx;
-    return bound(box);
-  }
+  /// `ctx` carries the parent's relaxation optimum for warm-starting; a
+  /// problem may ignore it.  The result must stay a pure function of
+  /// (box, ctx) — see BoundContext.
+  virtual NodeBounds bound(const Box& box, const BoundContext& ctx) = 0;
 
   /// True when `box` is small enough to finish by exact enumeration.
   virtual bool is_terminal(const Box& box) const = 0;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#include "fixed/value.h"
 #include "support/error.h"
 #include "support/wire.h"
 

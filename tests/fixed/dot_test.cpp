@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "fixed/datapath.h"
-#include "fixed/value.h"
 #include "linalg/vector.h"
 #include "quantized_dot.h"
 #include "support/error.h"
@@ -24,14 +23,6 @@ double dot_real(const linalg::Vector& w, const linalg::Vector& x,
                 AccumulatorMode acc = AccumulatorMode::kWide,
                 DotDiagnostics* diag = nullptr) {
   return fmt.to_real(quantized_dot(w, x, fmt, mode, acc, diag));
-}
-
-/// Raw words of a QK.F value vector.
-std::vector<std::int64_t> raw_words(const std::vector<Fixed>& v) {
-  std::vector<std::int64_t> out;
-  out.reserve(v.size());
-  for (const Fixed& f : v) out.push_back(f.raw());
-  return out;
 }
 
 TEST(DotTest, MatchesDoubleWhenEverythingRepresentable) {
@@ -114,25 +105,23 @@ TEST_P(DotPropertyTest, WideResultEqualsRoundedExactSum) {
   const FixedFormat fmt(3, GetParam());
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t n = 1 + trial % 8;
-    std::vector<Fixed> w;
-    std::vector<Fixed> x;
+    std::vector<std::int64_t> w;
+    std::vector<std::int64_t> x;
     // Keep |values| <= 1 so products and sums stay in range.
     const std::int64_t unit = std::int64_t{1} << fmt.frac_bits();
     for (std::size_t i = 0; i < n; ++i) {
-      w.push_back(Fixed::from_raw(fmt, rng.uniform_int(-unit, unit)));
-      x.push_back(Fixed::from_raw(fmt, rng.uniform_int(-unit, unit)));
+      w.push_back(rng.uniform_int(-unit, unit));
+      x.push_back(rng.uniform_int(-unit, unit));
     }
     DotDiagnostics diag;
-    const auto wr = raw_words(w);
-    const auto xr = raw_words(x);
     const double y = fmt.to_real(
-        dot_datapath_raw(wr.data(), xr.data(), n, fmt,
+        dot_datapath_raw(w.data(), x.data(), n, fmt,
                          RoundingMode::kNearestEven, AccumulatorMode::kWide,
                          &diag));
     // Exact sum in double (products of <=2^14-step values are exact).
     double exact = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      exact += w[i].to_real() * x[i].to_real();
+      exact += fmt.to_real(w[i]) * fmt.to_real(x[i]);
     }
     // The overflow flag must agree with the exact sum's range check...
     const bool out_of_range =
@@ -156,21 +145,22 @@ TEST(DotTest, NarrowEqualsSumOfRoundedProducts) {
   const FixedFormat fmt(4, 3);
   for (int trial = 0; trial < 300; ++trial) {
     const std::size_t n = 1 + trial % 6;
-    std::vector<Fixed> w;
-    std::vector<Fixed> x;
+    std::vector<std::int64_t> w;
+    std::vector<std::int64_t> x;
     const std::int64_t unit = std::int64_t{1} << fmt.frac_bits();
     for (std::size_t i = 0; i < n; ++i) {
-      w.push_back(Fixed::from_raw(fmt, rng.uniform_int(-unit, unit)));
-      x.push_back(Fixed::from_raw(fmt, rng.uniform_int(-unit, unit)));
+      w.push_back(rng.uniform_int(-unit, unit));
+      x.push_back(rng.uniform_int(-unit, unit));
     }
-    const auto wr = raw_words(w);
-    const auto xr = raw_words(x);
     const std::int64_t y =
-        dot_datapath_raw(wr.data(), xr.data(), n, fmt,
+        dot_datapath_raw(w.data(), x.data(), n, fmt,
                          RoundingMode::kNearestEven, AccumulatorMode::kNarrow);
+    // Each product rounded to QK.F on its own (one-term narrow dots).
     double manual = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      manual += w[i].mul_wrap(x[i]).to_real();
+      manual += fmt.to_real(dot_datapath_raw(&w[i], &x[i], 1, fmt,
+                                             RoundingMode::kNearestEven,
+                                             AccumulatorMode::kNarrow));
     }
     EXPECT_DOUBLE_EQ(fmt.to_real(y), manual);
   }

@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "fixed/dot.h"
 #include "support/error.h"
+#include "support/rng.h"
 
 namespace ldafp::fixed {
 namespace {
@@ -88,6 +90,103 @@ TEST(FormatTest, RoundToGridIsIdempotent) {
   const double g = fmt.round_to_grid(0.3);
   EXPECT_TRUE(fmt.representable(g));
   EXPECT_DOUBLE_EQ(fmt.round_to_grid(g), g);
+}
+
+// Arithmetic on fixed-point values held as raw words, the datapath's one
+// representation: add, subtract and negate are wrap_raw of the exact
+// integer result; multiply is the one-term narrow MAC (narrow_raw of the
+// exact product, then wrap_raw).
+
+/// Datapath product of two raw words: a one-term narrow dot.
+std::int64_t mul_wrap(const FixedFormat& fmt, std::int64_t a, std::int64_t b,
+                      RoundingMode mode = RoundingMode::kNearestEven) {
+  return dot_datapath_raw(&a, &b, 1, fmt, mode, AccumulatorMode::kNarrow);
+}
+
+TEST(FixedValueTest, PaperWrappingExample) {
+  // Paper Sec. 3: y = 3 + 3 - 4 in Q3.0.  The intermediate sum 3 + 3
+  // overflows (wraps to -2), yet the final result is the correct 2.
+  const FixedFormat q30(3, 0);
+  const auto even = RoundingMode::kNearestEven;
+  const std::int64_t three = q30.quantize_saturate(3.0, even);
+  const std::int64_t minus4 = q30.quantize_saturate(-4.0, even);
+  const std::int64_t intermediate = q30.wrap_raw(three + three);
+  EXPECT_DOUBLE_EQ(q30.to_real(intermediate), -2.0);  // wrapped
+  EXPECT_GT(three + three, q30.raw_max());  // the wrap actually fired
+  const std::int64_t final_sum = q30.wrap_raw(intermediate + minus4);
+  EXPECT_DOUBLE_EQ(q30.to_real(final_sum), 2.0);  // correct despite the wrap
+}
+
+TEST(FixedValueTest, FromRealModes) {
+  const FixedFormat fmt(2, 2);
+  const auto even = RoundingMode::kNearestEven;
+  EXPECT_DOUBLE_EQ(fmt.to_real(fmt.quantize_saturate(5.0, even)), 1.75);
+  // 5.0 -> raw 20 -> wraps into 4-bit range.
+  EXPECT_DOUBLE_EQ(fmt.to_real(fmt.quantize_wrap(5.0, even)), 1.0);
+}
+
+TEST(FixedValueTest, AddSubNegateWrap) {
+  const FixedFormat fmt(2, 1);  // range [-2, 1.5]
+  const std::int64_t a = 3;     // 1.5
+  const std::int64_t b = 2;     // 1.0
+  EXPECT_DOUBLE_EQ(fmt.to_real(fmt.wrap_raw(a + b)), -1.5);  // 2.5 wraps
+  EXPECT_DOUBLE_EQ(fmt.to_real(fmt.wrap_raw(a - b)), 0.5);
+  EXPECT_DOUBLE_EQ(fmt.to_real(fmt.wrap_raw(-b)), -1.0);
+  // Negating the most negative value wraps back onto itself.
+  EXPECT_EQ(fmt.wrap_raw(-fmt.raw_min()), fmt.raw_min());
+}
+
+TEST(FixedValueTest, MultiplicationExactCases) {
+  const FixedFormat fmt(3, 2);  // step 0.25
+  const auto raw = [&](double v) {
+    return fmt.quantize_saturate(v, RoundingMode::kNearestEven);
+  };
+  EXPECT_DOUBLE_EQ(fmt.to_real(mul_wrap(fmt, raw(1.5), raw(0.5))), 0.75);
+  EXPECT_DOUBLE_EQ(fmt.to_real(mul_wrap(fmt, raw(1.5), raw(-2.0))), -3.0);
+}
+
+TEST(FixedValueTest, MultiplicationRoundsProduct) {
+  const FixedFormat fmt(3, 2);  // step 0.25
+  const std::int64_t half = 2;
+  const std::int64_t quarter = 1;
+  // 0.5 * 0.25 = 0.125 sits exactly between grid points 0 and 0.25:
+  // nearest-even keeps the even point 0, away-from-zero bumps to 0.25.
+  EXPECT_EQ(mul_wrap(fmt, half, quarter, RoundingMode::kNearestEven), 0);
+  EXPECT_EQ(mul_wrap(fmt, half, quarter, RoundingMode::kNearestAway), 1);
+  // 0.25 * 0.25 = 0.0625 is below the midpoint: rounds to 0 either way.
+  EXPECT_EQ(mul_wrap(fmt, quarter, quarter, RoundingMode::kNearestAway), 0);
+}
+
+TEST(FixedValueTest, NarrowRawMatchesScaledRounding) {
+  // narrow_raw(x, f) must agree with rounding x / 2^f for all modes.
+  support::Rng rng(99);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::int64_t wide = rng.uniform_int(-(1 << 20), 1 << 20);
+    const int f = static_cast<int>(rng.uniform_int(1, 8));
+    for (const auto mode :
+         {RoundingMode::kNearestEven, RoundingMode::kNearestAway,
+          RoundingMode::kTowardZero, RoundingMode::kFloor}) {
+      const std::int64_t got = narrow_raw(wide, f, mode);
+      const std::int64_t want = round_real_to_int(
+          static_cast<double>(wide) / static_cast<double>(1LL << f), mode);
+      EXPECT_EQ(got, want) << "wide=" << wide << " f=" << f;
+    }
+  }
+}
+
+/// Property: wrapping addition is associative and commutative (a group
+/// mod 2^W), unlike saturating addition.
+TEST(FixedValueTest, WrapAdditionIsAssociative) {
+  const FixedFormat fmt(2, 2);
+  support::Rng rng(7);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::int64_t a = rng.uniform_int(fmt.raw_min(), fmt.raw_max());
+    const std::int64_t b = rng.uniform_int(fmt.raw_min(), fmt.raw_max());
+    const std::int64_t c = rng.uniform_int(fmt.raw_min(), fmt.raw_max());
+    EXPECT_EQ(fmt.wrap_raw(fmt.wrap_raw(a + b) + c),
+              fmt.wrap_raw(a + fmt.wrap_raw(b + c)));
+    EXPECT_EQ(fmt.wrap_raw(a + b), fmt.wrap_raw(b + a));
+  }
 }
 
 TEST(RoundRealToIntTest, TieBreakingPerMode) {

@@ -41,8 +41,8 @@ TEST(MixedDotTest, MatchesExactArithmeticWhenInRange) {
   const linalg::Vector w{1.5, -0.625};
   const linalg::Vector x{2.0, 1.0};
   // 3.0 - 0.625 = 2.375, representable in Q3.3.
-  const Fixed y = mixed_dot_datapath(layout, w, x, feature_fmt);
-  EXPECT_DOUBLE_EQ(y.to_real(), 2.375);
+  const std::int64_t y = mixed_dot_datapath(layout, w, x, feature_fmt);
+  EXPECT_DOUBLE_EQ(feature_fmt.to_real(y), 2.375);
 }
 
 TEST(MixedDotTest, UniformLayoutMatchesWideDot) {
@@ -60,14 +60,13 @@ TEST(MixedDotTest, UniformLayoutMatchesWideDot) {
       x[i] = rng.uniform(fmt.min_value(), fmt.max_value());
     }
     DotDiagnostics mixed_diag;
-    const Fixed mixed = mixed_dot_datapath(layout, w, x, fmt,
-                                           RoundingMode::kNearestEven,
-                                           &mixed_diag);
+    const std::int64_t mixed = mixed_dot_datapath(
+        layout, w, x, fmt, RoundingMode::kNearestEven, &mixed_diag);
     DotDiagnostics wide_diag;
     const std::int64_t wide =
         quantized_dot(w, x, fmt, RoundingMode::kNearestEven,
                       AccumulatorMode::kWide, &wide_diag);
-    EXPECT_EQ(mixed.raw(), wide) << "trial " << trial;
+    EXPECT_EQ(mixed, wide) << "trial " << trial;
     EXPECT_EQ(mixed_diag.final_overflow, wide_diag.final_overflow);
   }
 }
@@ -79,8 +78,8 @@ TEST(MixedDotTest, CoarseWeightsLoseOnlyTheirOwnPrecision) {
   const FixedFormat feature_fmt(2, 6);
   const linalg::Vector w{1.0, 0.015625};  // exactly on both grids
   const linalg::Vector x{0.0, 1.0};
-  const Fixed y = mixed_dot_datapath(layout, w, x, feature_fmt);
-  EXPECT_DOUBLE_EQ(y.to_real(), 0.015625);
+  const std::int64_t y = mixed_dot_datapath(layout, w, x, feature_fmt);
+  EXPECT_DOUBLE_EQ(feature_fmt.to_real(y), 0.015625);
 }
 
 TEST(MixedDotTest, WrappingPropertyHolds) {
@@ -91,9 +90,9 @@ TEST(MixedDotTest, WrappingPropertyHolds) {
   const linalg::Vector w{3.0, 3.0, -4.0};
   const linalg::Vector x{1.0, 1.0, 1.0};
   DotDiagnostics diag;
-  const Fixed y = mixed_dot_datapath(layout, w, x, feature_fmt,
-                                     RoundingMode::kNearestEven, &diag);
-  EXPECT_DOUBLE_EQ(y.to_real(), 2.0);
+  const std::int64_t y = mixed_dot_datapath(
+      layout, w, x, feature_fmt, RoundingMode::kNearestEven, &diag);
+  EXPECT_DOUBLE_EQ(feature_fmt.to_real(y), 2.0);
   EXPECT_GE(diag.accumulator_wraps, 1);
   EXPECT_FALSE(diag.final_overflow);
 }

@@ -1,6 +1,6 @@
 // The in-place kernels backing the barrier solver's zero-allocation
-// Newton loop (DESIGN.md §10), checked against the allocating reference
-// implementations they replace.
+// Newton loop (DESIGN.md §10).  tests/linalg/cholesky_test.cpp checks the
+// Cholesky factor and solve against known answers and residuals.
 #include "linalg/ops.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <cstring>
 #include <limits>
 
-#include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 #include "support/rng.h"
@@ -33,81 +32,10 @@ TEST(OpsKernelTest, SymMatvecQuadMatchesReference) {
   EXPECT_NEAR(quad, quadratic_form(a, x), 1e-12 * (1.0 + std::abs(quad)));
 }
 
-TEST(OpsKernelTest, SymRank1UpdateMatchesOuterProduct) {
-  support::Rng rng(12);
-  Matrix h = random_spd(5, 1.0, 2.0, rng);
-  Matrix ref = h;
-  Vector v(5);
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = rng.uniform(-1.0, 1.0);
-
-  const double alpha = 0.75;
-  sym_rank1_update(h, alpha, v);
-  ref += alpha * Matrix::outer(v, v);
-
-  for (std::size_t r = 0; r < 5; ++r) {
-    for (std::size_t c = 0; c < 5; ++c) {
-      EXPECT_NEAR(h(r, c), ref(r, c), 1e-14) << r << "," << c;
-    }
-  }
-  EXPECT_TRUE(h.is_symmetric(1e-14));
-}
-
-TEST(OpsKernelTest, AddScaledMatrixMatchesReference) {
-  support::Rng rng(13);
-  Matrix h = random_gaussian_matrix(4, 4, rng);
-  const Matrix a = random_gaussian_matrix(4, 4, rng);
-  Matrix ref = h;
-
-  add_scaled_matrix(h, -2.5, a);
-  ref += -2.5 * a;
-
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      EXPECT_DOUBLE_EQ(h(r, c), ref(r, c)) << r << "," << c;
-    }
-  }
-}
-
-TEST(OpsKernelTest, CholeskyFactorInPlaceMatchesCholeskyClass) {
-  support::Rng rng(14);
-  const Matrix a = random_spd(6, 0.25, 8.0, rng);
-  Matrix factor = a;
-  ASSERT_TRUE(cholesky_factor_in_place(factor));
-
-  const Cholesky ref(a);
-  for (std::size_t r = 0; r < 6; ++r) {
-    for (std::size_t c = 0; c <= r; ++c) {
-      EXPECT_NEAR(factor(r, c), ref.factor()(r, c), 1e-12) << r << "," << c;
-    }
-  }
-}
-
 TEST(OpsKernelTest, CholeskyFactorInPlaceRejectsIndefinite) {
   // Indefinite matrix: eigenvalues 3 and -1.
   Matrix a{{1.0, 2.0}, {2.0, 1.0}};
   EXPECT_FALSE(cholesky_factor_in_place(a));
-}
-
-TEST(OpsKernelTest, CholeskySolveInPlaceMatchesCholeskyClass) {
-  support::Rng rng(15);
-  const Matrix a = random_spd(6, 0.5, 4.0, rng);
-  Vector b(6);
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.uniform(-3.0, 3.0);
-
-  Matrix factor = a;
-  ASSERT_TRUE(cholesky_factor_in_place(factor));
-  Vector x = b;
-  cholesky_solve_in_place(factor, x);
-
-  const Vector ref = Cholesky(a).solve(b);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(x[i], ref[i], 1e-10) << "i=" << i;
-  }
-  // Residual check: A x ≈ b.
-  const Vector ax = a * x;
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    EXPECT_NEAR(ax[i], b[i], 1e-9) << "i=" << i;
-  }
 }
 
 TEST(OpsKernelTest, CholeskyInPlaceReadsOnlyTheLowerTriangle) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/cholesky.h"
 #include "linalg/ops.h"
 #include "support/error.h"
 #include "support/rng.h"
@@ -36,32 +35,6 @@ TEST(QrTest, ThinRIsUpperTriangular) {
   for (std::size_t i = 1; i < 5; ++i) {
     for (std::size_t j = 0; j < i; ++j) EXPECT_DOUBLE_EQ(r(i, j), 0.0);
   }
-}
-
-TEST(QrTest, LeastSquaresMatchesNormalEquations) {
-  support::Rng rng(19);
-  const Matrix a = random_gaussian_matrix(10, 3, rng);
-  Vector b(10);
-  for (std::size_t i = 0; i < 10; ++i) b[i] = rng.gaussian();
-  const Vector x_qr = Qr(a).solve_least_squares(b);
-  // Normal equations: (AᵀA) x = Aᵀ b.
-  const Matrix ata = a.transposed() * a;
-  const Vector atb = transpose_times(a, b);
-  const Vector x_ne = Cholesky(ata).solve(atb);
-  EXPECT_LT(max_abs_diff(x_qr, x_ne), 1e-10);
-}
-
-TEST(QrTest, ExactSolveForSquareSystem) {
-  const Matrix a{{2.0, 1.0}, {0.0, 3.0}};
-  const Vector x = Qr(a).solve_least_squares(Vector{5.0, 6.0});
-  EXPECT_NEAR(x[0], 1.5, 1e-13);
-  EXPECT_NEAR(x[1], 2.0, 1e-13);
-}
-
-TEST(QrTest, RankDeficientLeastSquaresThrows) {
-  const Matrix a{{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}};
-  EXPECT_THROW(Qr(a).solve_least_squares(Vector{1.0, 2.0, 3.0}),
-               ldafp::NumericalError);
 }
 
 TEST(RandomOrthogonalTest, ProducesOrthogonalMatrix) {

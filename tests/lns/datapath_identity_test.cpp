@@ -13,7 +13,6 @@
 #include "fixed/datapath.h"
 #include "fixed/dot.h"
 #include "fixed/lns.h"
-#include "fixed/value.h"
 #include "runtime/batch_scorer.h"
 #include "sched/executor.h"
 #include "sched/parallel_for.h"
@@ -87,10 +86,9 @@ TEST(DatapathIdentityTest, TwosComplementQuantizeMatchesFixedValue) {
     for (int i = 0; i < 200; ++i) {
       const double v = rng.uniform(-3.0 * fmt.max_value(),
                                    3.0 * fmt.max_value());
-      const fixed::Fixed ref =
-          fixed::Fixed::from_real_saturate(fmt, v, mode);
-      EXPECT_EQ(dp->quantize(v), ref.raw());
-      EXPECT_EQ(dp->to_real(ref.raw()), ref.to_real());
+      const std::int64_t ref = fmt.quantize_saturate(v, mode);
+      EXPECT_EQ(dp->quantize(v), ref);
+      EXPECT_EQ(dp->to_real(ref), fmt.to_real(ref));
     }
     // TC comparator is plain signed order on raw words.
     EXPECT_TRUE(dp->ge(3, -4));

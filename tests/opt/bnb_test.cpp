@@ -30,7 +30,7 @@ class IntegerQuadratic : public BnbProblem {
     return s;
   }
 
-  NodeBounds bound(const Box& box) override {
+  NodeBounds bound(const Box& box, const BoundContext& /*ctx*/) override {
     ++bound_calls;
     NodeBounds out;
     Vector clamped(target_.size());

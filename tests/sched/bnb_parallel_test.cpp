@@ -43,7 +43,7 @@ class AtomicIntegerQuadratic : public BnbProblem {
     return s;
   }
 
-  NodeBounds bound(const Box& box) override {
+  NodeBounds bound(const Box& box, const BoundContext& /*ctx*/) override {
     bound_calls.fetch_add(1, std::memory_order_relaxed);
     NodeBounds out;
     Vector rounded(target_.size());
