@@ -10,9 +10,11 @@
 //   open    paced senders at a target aggregate rate (arrivals
 //           independent of completions) — measures latency at an
 //           offered load instead of at saturation.
-//   burst   the engine is paused so its queue fills, then a request
-//           burst forces kQueueFull — proves backpressure surfaces as
-//           protocol-level REJECTED responses, never silent drops.
+//   burst   a few connections each pipeline a burst well past any
+//           queue size in one write — proves every request is answered
+//           OK and in order: the loops score on the thread that read
+//           the bytes, so overload shows as TCP flow control, not as
+//           REJECTED responses or silent drops.
 //
 // Every response is verified: per-connection FIFO order (pipelining
 // contract), model version/format routing, and the served label against
@@ -20,11 +22,12 @@
 // check of the whole transport.  Latency records into ldafp_obs
 // histograms ("load.latency{phase=...}", p50/p99/p999 in the export),
 // and `--out FILE` writes the run as JSON in the BENCH_solver.json style:
-// per-phase throughput, the client-side histograms, the server's full
-// "net.* + runtime.*" snapshot, and the accounting block.  Exit status
-// is non-zero unless accounting is exact: sent == ok + rejected, zero
-// protocol errors, zero ordering or label mismatches, and the burst
-// actually rejected something.
+// the host header, per-phase throughput, the server's serve-stage table
+// (net.serve_stage{stage=pack|score|encode}), the client-side
+// histograms, the server's full "net.* + runtime.*" snapshot, and the
+// accounting block.  Exit status is non-zero unless accounting is
+// exact: sent == ok + rejected, zero protocol errors, zero ordering or
+// label mismatches, and the burst answered in full.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -64,11 +67,8 @@ struct Options {
   std::size_t open_requests_per_conn = 800;
   double open_rate = 40000.0;  // aggregate req/s target
   std::size_t burst_connections = 4;
-  std::size_t burst_per_conn = 0;  // derived from queue unless overridden
+  std::size_t burst_per_conn = 1536;
   std::size_t io_threads = 2;
-  std::size_t workers = 4;
-  std::size_t queue = 4096;
-  std::size_t max_batch = 64;
 };
 
 /// One servable model plus the probe set and locally-computed expected
@@ -295,35 +295,11 @@ Tally run_open_loop(const std::string& host, std::uint16_t port,
   return total;
 }
 
-/// Sum of every counter sample named `name`, across all label sets.
-std::uint64_t sum_counters(const obs::MetricsSnapshot& snapshot,
-                           const std::string& name) {
-  std::uint64_t total = 0;
-  for (const auto& c : snapshot.counters) {
-    if (c.name == name) total += c.value;
-  }
-  return total;
-}
-
-/// Burst against a paused engine: the bounded queue fills, the
-/// remainder must come back REJECTED (and nothing may be dropped).
-/// The resume is gated on the server having *decided* (accepted or
-/// rejected) every burst request — a client-side "all sent" signal
-/// only means the bytes reached the kernel, and resuming on it lets
-/// the drain race the tail of the burst and admit everything.
+/// Burst: each connection writes its whole burst in one send, then
+/// reads every response back, checking order and labels.
 Tally run_burst(const std::string& host, std::uint16_t port,
                 const std::vector<ModelUnderTest>& models,
-                const Options& opts, runtime::InferenceEngine& engine,
-                const obs::MetricsRegistry& server_metrics) {
-  const auto decisions = [&] {
-    const obs::MetricsSnapshot snapshot = server_metrics.snapshot();
-    return sum_counters(snapshot, "net.accepted") +
-           sum_counters(snapshot, "net.rejected");
-  };
-  const std::uint64_t decisions_before = decisions();
-  const std::uint64_t burst_total =
-      opts.burst_connections * opts.burst_per_conn;
-  engine.pause();
+                const Options& opts) {
   Tally total;
   std::mutex merge_mu;
   std::vector<std::thread> threads;
@@ -333,10 +309,12 @@ Tally run_burst(const std::string& host, std::uint16_t port,
       const ModelUnderTest& model = models[c % models.size()];
       net::Client client = net::Client::connect_to(host, port);
       Tally tally;
+      std::vector<std::uint8_t> burst;
       for (std::size_t k = 0; k < opts.burst_per_conn; ++k) {
-        client.send(make_request(model, k + 1, k));
+        net::encode(burst, make_request(model, k + 1, k));
         ++tally.sent;
       }
+      client.send_bytes(burst.data(), burst.size());
       for (std::size_t k = 0; k < opts.burst_per_conn; ++k) {
         check_response(client.recv(), model, k + 1, k, tally);
       }
@@ -344,10 +322,6 @@ Tally run_burst(const std::string& host, std::uint16_t port,
       total.merge(tally);
     });
   }
-  while (decisions() - decisions_before < burst_total) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  engine.resume();
   for (std::thread& t : threads) t.join();
   return total;
 }
@@ -390,7 +364,7 @@ int main(int argc, char** argv) {
       opts.open_connections = 8;
       opts.open_requests_per_conn = 100;
       opts.open_rate = 20000.0;
-      opts.queue = 512;
+      opts.burst_per_conn = 512;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       opts.out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--open-rate") == 0 && i + 1 < argc) {
@@ -401,26 +375,17 @@ int main(int argc, char** argv) {
                size_flag("--open-connections", opts.open_connections) ||
                size_flag("--open-requests", opts.open_requests_per_conn) ||
                size_flag("--io-threads", opts.io_threads) ||
-               size_flag("--workers", opts.workers) ||
-               size_flag("--queue", opts.queue) ||
                size_flag("--burst", opts.burst_per_conn)) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--out FILE] [--connections C] "
                    "[--requests R] [--window W] [--open-connections C] "
                    "[--open-requests R] [--open-rate RPS] "
-                   "[--io-threads N] [--workers N] [--queue N] "
-                   "[--burst R]\n",
+                   "[--io-threads N] [--burst R]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (opts.burst_per_conn == 0) {
-    // The burst must overfill the paused engine's queue, whatever size
-    // was chosen, or the backpressure phase proves nothing.
-    opts.burst_per_conn = opts.queue / opts.burst_connections + 512;
-  }
-
   // Deterministic models: two word lengths under distinct names, so
   // traffic exercises multi-model routing on every other connection.
   support::Rng rng(42);
@@ -435,10 +400,10 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry server_metrics;
   obs::Sink server_sink;
   server_sink.metrics = &server_metrics;
+  // The loops score through the engine's synchronous call; its worker
+  // pool serves only the future adapter, which this bench never uses.
   runtime::EngineOptions engine_options;
-  engine_options.workers = opts.workers;
-  engine_options.queue_capacity = opts.queue;
-  engine_options.max_batch = opts.max_batch;
+  engine_options.workers = 1;
   engine_options.sink = &server_sink;
   runtime::InferenceEngine engine(engine_options);
 
@@ -453,9 +418,8 @@ int main(int argc, char** argv) {
   server.start();
   const std::string host = server_options.host;
   const std::uint16_t port = server.port();
-  std::printf("serve_load: %s:%u, %zu io threads, %zu workers, queue %zu\n",
-              host.c_str(), port, opts.io_threads, opts.workers,
-              opts.queue);
+  std::printf("serve_load: %s:%u, %zu io threads\n", host.c_str(), port,
+              opts.io_threads);
 
   obs::MetricsRegistry client_metrics;
   obs::Histogram& closed_latency = client_metrics.histogram(
@@ -475,8 +439,7 @@ int main(int argc, char** argv) {
   const double open_seconds = open_timer.seconds();
 
   support::WallTimer burst_timer;
-  const Tally burst =
-      run_burst(host, port, models, opts, engine, server_metrics);
+  const Tally burst = run_burst(host, port, models, opts);
   const double burst_seconds = burst_timer.seconds();
 
   server.stop();
@@ -496,7 +459,9 @@ int main(int argc, char** argv) {
                      responses_sent == all.sent;
   const bool clean = all.order_errors == 0 && all.label_errors == 0 &&
                      all.route_errors == 0 && protocol_errors == 0;
-  const bool backpressure_seen = burst.rejected > 0;
+  const bool burst_answered = burst.ok == burst.sent &&
+                              burst.sent == opts.burst_connections *
+                                                opts.burst_per_conn;
 
   const auto closed_hist = closed_latency.snapshot();
   const auto open_hist = open_latency.snapshot();
@@ -534,21 +499,44 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(all.rejected),
               exact ? "exact" : "MISMATCH");
   std::printf("protocol errors %llu, order errors %llu, label errors "
-              "%llu, route errors %llu, burst rejected %llu\n",
+              "%llu, route errors %llu, burst ok %llu of %llu\n",
               static_cast<unsigned long long>(protocol_errors),
               static_cast<unsigned long long>(all.order_errors),
               static_cast<unsigned long long>(all.label_errors),
               static_cast<unsigned long long>(all.route_errors),
-              static_cast<unsigned long long>(burst.rejected));
+              static_cast<unsigned long long>(burst.ok),
+              static_cast<unsigned long long>(burst.sent));
+
+  // Server-side stage table: mean microseconds per response of each
+  // serve stage; the stamps telescope, so the stages sum to the total.
+  const auto mean_us = [&](const char* name, const char* stage) {
+    const auto* h = stage == nullptr
+                        ? server_snapshot.find_histogram(name)
+                        : server_snapshot.find_histogram(
+                              name, {{"stage", stage}});
+    return h == nullptr ? 0.0 : h->hist.mean() * 1e6;
+  };
+  const char* const stages[] = {"pack", "score", "encode"};
+  support::TextTable stage_table({"stage", "mean"});
+  for (const char* stage : stages) {
+    stage_table.add_row(
+        {stage,
+         support::format_double(mean_us("net.serve_stage", stage), 3) +
+             "us"});
+  }
+  stage_table.add_row(
+      {"total",
+       support::format_double(mean_us("net.serve_latency", nullptr), 3) +
+           "us"});
+  std::printf("%s\n", stage_table.to_string().c_str());
 
   std::ostringstream report;
   support::JsonWriter json(report);
   json.begin_object();
   json.kv("bench", "serve_load");
   json.kv("smoke", opts.smoke);
+  bench::write_host_header(json);
   json.kv("io_threads", static_cast<std::uint64_t>(opts.io_threads));
-  json.kv("workers", static_cast<std::uint64_t>(opts.workers));
-  json.kv("queue_capacity", static_cast<std::uint64_t>(opts.queue));
   json.key("phases");
   json.begin_array();
   write_phase(json, "closed", opts.connections, closed, closed_seconds);
@@ -558,8 +546,15 @@ int main(int argc, char** argv) {
   json.end_array();
   json.kv("closed_rounds", static_cast<std::uint64_t>(closed_rounds));
   json.kv("closed_rps_best", closed_rps);
-  // The adaptive micro-batcher's occupancy (per formed batch, fraction
-  // of max_batch filled) — the CI smoke step exports this block.
+  json.key("serve_stage_mean_us");
+  json.begin_object();
+  for (const char* stage : stages) {
+    json.kv(stage, mean_us("net.serve_stage", stage));
+  }
+  json.kv("total", mean_us("net.serve_latency", nullptr));
+  json.end_object();
+  // Occupancy of each scored request (fraction of max_batch filled) —
+  // the CI smoke step exports this block.
   {
     const auto occupancy = engine.stats().batch_occupancy.snapshot();
     json.key("batch_occupancy");
@@ -582,15 +577,15 @@ int main(int argc, char** argv) {
   json.kv("protocol_errors", protocol_errors);
   json.kv("exact", exact);
   json.kv("clean", clean);
-  json.kv("backpressure_seen", backpressure_seen);
+  json.kv("burst_answered", burst_answered);
   json.end_object();
   json.end_object();
   if (!bench::write_report(opts.out_path, report.str())) return 2;
 
-  if (!exact || !clean || !backpressure_seen) {
+  if (!exact || !clean || !burst_answered) {
     std::fprintf(stderr, "serve_load FAILED: exact=%d clean=%d "
-                 "backpressure_seen=%d\n",
-                 exact, clean, backpressure_seen);
+                 "burst_answered=%d\n",
+                 exact, clean, burst_answered);
     return 1;
   }
   return 0;

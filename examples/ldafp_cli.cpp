@@ -9,9 +9,7 @@
 //                    [--threads T] [--datapath fixed|lns]
 //                    [--metrics-json FILE] [--trace FILE]
 //   ldafp_cli model inspect <file.ldafp>
-//   ldafp_cli serve  [--port P] [--threads T] [--io-threads N]
-//                    [--queue Q] [--batch B] [--linger-us U]
-//                    [--model NAME=FILE ...]
+//   ldafp_cli serve  [--port P] [--io-threads N] [--model NAME=FILE ...]
 //                    [--synthetic] [--retrain-data CSV] [--retrain-after N]
 //                    [--retrain-mode streaming|ldafp] [--store DIR]
 //                    [--metrics-json FILE]
@@ -31,15 +29,15 @@
 // `--metrics-json` / `--trace` attach an obs::Sink to the run and dump
 // the metrics snapshot / span timeline as JSON (README shows samples);
 // the trained results are bit-identical with or without them.
-// `serve` exposes the inference engine over the DESIGN.md §12 TCP
-// protocol.  --model accepts weight-ROM `.hex` files or `.ldafp` model
+// `serve` exposes the classifiers over the DESIGN.md §12 TCP protocol;
+// each of the --io-threads event loops scores the requests it reads.  --model accepts weight-ROM `.hex` files or `.ldafp` model
 // files (the latter carry their feature scale and provenance).  A model
 // is required; pass --synthetic to opt into the load-testing fallback
 // classifier instead.  --retrain-data streams a labeled CSV into the
 // online retraining loop: every --retrain-after samples a candidate is
 // trained, validated on the newest held-out window slice, and hot-
 // promoted through the registry when it is no worse (durable versioned
-// files land in --store).  SIGINT drains the engine and flushes the
+// files land in --store).  SIGINT drains the server and flushes the
 // metrics snapshot — including the model.* lifecycle and drift gauges —
 // before exiting.
 #include <algorithm>
@@ -95,9 +93,7 @@ int usage() {
                "[--metrics-json FILE] "
                "[--trace FILE]\n"
                "  ldafp_cli model inspect <file.ldafp>\n"
-               "  ldafp_cli serve [--port P] [--threads T] "
-               "[--io-threads N] [--queue Q] [--batch B] "
-               "[--linger-us U] "
+               "  ldafp_cli serve [--port P] [--io-threads N] "
                "[--model NAME=FILE.hex|FILE.ldafp ...] [--synthetic] "
                "[--retrain-data CSV] [--retrain-after N] "
                "[--retrain-mode streaming|ldafp] "
@@ -502,24 +498,13 @@ core::FixedClassifier train_synthetic_fallback(int word_length,
 int cmd_serve(int argc, char** argv) {
   const auto port = static_cast<std::uint16_t>(
       flag_value(argc, argv, "--port", 7070));
-  const auto workers = static_cast<std::size_t>(
-      flag_value(argc, argv, "--threads", 4));
   const auto io_threads = static_cast<std::size_t>(
       flag_value(argc, argv, "--io-threads", 1));
-  const auto queue = static_cast<std::size_t>(
-      flag_value(argc, argv, "--queue", 1024));
-  const auto batch = static_cast<std::size_t>(
-      flag_value(argc, argv, "--batch", 64));
-  // Micro-batch linger ceiling in microseconds; the engine scales the
-  // effective wait with queue depth, so this is the loaded-engine
-  // bound, not a per-request latency floor.
-  const auto linger_us = static_cast<double>(
-      flag_value(argc, argv, "--linger-us", 500));
   const char* metrics_path = flag_string(argc, argv, "--metrics-json");
 
   // One registry for the whole serving process: the engine's
   // "runtime.*" block and the transport's "net.*" block bind into it,
-  // so the exit snapshot covers admission, batching, and the wire.
+  // so the exit snapshot covers admission, scoring, and the wire.
   obs::MetricsRegistry metrics;
   obs::Sink sink;
   sink.metrics = &metrics;
@@ -658,11 +643,10 @@ int cmd_serve(int argc, char** argv) {
                 store_dir != nullptr ? store_dir : "");
   }
 
+  // The event loops score through the engine's synchronous call, so
+  // one worker (for the unused future adapter) is all it needs.
   runtime::EngineOptions engine_options;
-  engine_options.workers = workers;
-  engine_options.queue_capacity = queue;
-  engine_options.max_batch = batch;
-  engine_options.max_wait_seconds = linger_us * 1e-6;
+  engine_options.workers = 1;
   engine_options.sink = &sink;
   runtime::InferenceEngine engine(engine_options);
 
@@ -675,11 +659,10 @@ int cmd_serve(int argc, char** argv) {
   server_options.sink = &sink;
   net::Server server(server_options);
   server.start();
-  std::printf("serving on %s:%u (%zu io thread%s, %zu workers, "
-              "default model \"%s\") — Ctrl-C to drain and exit\n",
+  std::printf("serving on %s:%u (%zu io thread%s, default model \"%s\")"
+              " — Ctrl-C to drain and exit\n",
               server_options.host.c_str(), server.port(), io_threads,
-              io_threads == 1 ? "" : "s", workers,
-              default_model.c_str());
+              io_threads == 1 ? "" : "s", default_model.c_str());
 
   // The feeder streams the labeled CSV into the retraining loop while
   // the server keeps taking traffic — scores into the drift detector,
@@ -723,8 +706,8 @@ int cmd_serve(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
 
-  // Orderly drain: stop admission at the socket, let in-flight
-  // responses flush, then drain the engine queue, then report.
+  // Orderly drain: stop admission at the socket, let encoded responses
+  // flush, then shut the engine down, then report.
   std::printf("\ndraining...\n");
   if (feeder.joinable()) feeder.join();
   server.stop();

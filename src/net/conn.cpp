@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 
 #include <cerrno>
-#include <utility>
 
 #include "support/wire.h"
 
@@ -12,52 +11,16 @@ namespace ldafp::net {
 namespace {
 /// Socket read chunk; also the compaction threshold for the buffers.
 constexpr std::size_t kIoChunk = 64u * 1024;
+
+double seconds_between(std::chrono::steady_clock::time_point from,
+                       std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
+}
 }  // namespace
-
-std::uint64_t LoopContext::adopt(Connection* conn) {
-  const std::uint64_t id = next_conn_id++;
-  conns.emplace(id, conn);
-  return id;
-}
-
-void LoopContext::forget(std::uint64_t id) { conns.erase(id); }
-
-std::size_t LoopContext::drain_completions() {
-  std::size_t routed = 0;
-  runtime::RequestBlock* block = completions->drain();
-  while (block != nullptr) {
-    runtime::RequestBlock* next = block->next;
-    block->next = nullptr;
-    const auto it = conns.find(block->conn_id);
-    if (it != conns.end()) {
-      it->second->on_completion(block);
-    } else {
-      // The submitter closed while its request was in flight; nobody
-      // will encode this reply — straight back to the freelist.
-      pool.recycle(block);
-    }
-    ++routed;
-    block = next;
-  }
-  return routed;
-}
 
 Connection::Connection(int fd, const ServeContext* ctx, LoopContext* loop)
     : fd_(fd), ctx_(ctx), loop_(loop) {
   ctx_->metrics->connections_opened.increment();
-  conn_id_ = loop_->adopt(this);
-}
-
-Connection::~Connection() {
-  loop_->forget(conn_id_);
-  for (Pending& pending : pending_) {
-    if (pending.block != nullptr && pending.ready) {
-      // Ready blocks are ours again; un-ready ones still belong to the
-      // engine and recycle as orphans when their completion routes.
-      loop_->pool.recycle(pending.block);
-      pending.block = nullptr;
-    }
-  }
 }
 
 void Connection::on_readable() {
@@ -67,8 +30,7 @@ void Connection::on_readable() {
     if (n > 0) {
       ctx_->metrics->bytes_rx.add(static_cast<std::uint64_t>(n));
       ingest(chunk, static_cast<std::size_t>(n));
-      if (static_cast<std::size_t>(n) < sizeof(chunk)) return;
-      continue;
+      return;
     }
     if (n == 0) {  // orderly EOF
       dead_ = true;
@@ -112,7 +74,7 @@ void Connection::consume_output(std::size_t n) {
 void Connection::ingest(const std::uint8_t* data, std::size_t n) {
   if (dead_ || close_after_flush_) return;  // stream already condemned
   rbuf_.insert(rbuf_.end(), data, data + n);
-  while (true) {
+  while (!dead_ && !close_after_flush_) {
     ScoreRequestView view;
     std::size_t consumed = 0;
     FrameError error = FrameError::kNone;
@@ -121,13 +83,14 @@ void Connection::ingest(const std::uint8_t* data, std::size_t n) {
                             ctx_->max_frame_bytes, view, consumed, error);
     if (state == DecodeState::kNeedMore) break;
     if (state == DecodeState::kError) {
-      fail_protocol(error);
+      // The reason is visible to the peer only as the close.
+      fail_protocol();
       return;
     }
     rpos_ += consumed;
-    // The view aliases rbuf_; handle_request quantizes the payload into
-    // a packed block before returning, so nothing outlives the buffer.
-    handle_request(view);
+    // The view aliases rbuf_; the request is scored and encoded before
+    // handle_request returns, so nothing outlives the buffer.
+    handle_request(view, Clock::now());
   }
   if (rpos_ == rbuf_.size()) {
     rbuf_.clear();
@@ -163,154 +126,104 @@ ResponseStatus Connection::admission_check(const ScoreRequestView& request,
   return ResponseStatus::kOk;
 }
 
-void Connection::handle_request(const ScoreRequestView& request) {
+void Connection::handle_request(const ScoreRequestView& request,
+                                Clock::time_point decoded) {
+  ScoreResponse response;
+  response.request_id = request.request_id;
   runtime::ModelHandle model;
-  const ResponseStatus check = admission_check(request, model);
-  if (check != ResponseStatus::kOk) {
-    enqueue_immediate(request.request_id, check, model);
-    return;
-  }
-
-  runtime::RequestBlock* block = loop_->pool.acquire();
-  block->model = model;
-  if (!model->scorer.pack_from_f64_le(block->batch, request.features_le,
-                                      request.sample_count)) {
-    // NaN in the payload: reject at ingest — letting it through would
-    // trip the quantizer's NaN check inside a scoring worker.
-    block->batch.clear();
-    loop_->pool.recycle(block);
-    enqueue_immediate(request.request_id, ResponseStatus::kInvalidRequest,
-                      model);
-    return;
-  }
-  block->completions = loop_->completions;
-  block->conn_id = conn_id_;
-  block->seq = head_seq_ + pending_.size();
-  const runtime::SubmitStatus status = ctx_->engine->submit(block);
-  if (status == runtime::SubmitStatus::kAccepted) {
-    ctx_->metrics->accepted.increment();
-    Pending pending;
-    pending.response.request_id = request.request_id;
-    pending.response.status = ResponseStatus::kOk;
-    pending.model = std::move(model);
-    pending.block = block;
-    pending_.push_back(std::move(pending));
-    return;
-  }
-  loop_->pool.recycle(block);  // admission failed; ownership never left
-  switch (status) {
-    case runtime::SubmitStatus::kQueueFull:
-      enqueue_immediate(request.request_id, ResponseStatus::kRejected,
-                        model);
-      return;
-    case runtime::SubmitStatus::kShuttingDown:
-      enqueue_immediate(request.request_id, ResponseStatus::kShuttingDown,
-                        model);
-      return;
-    default:
-      enqueue_immediate(request.request_id, ResponseStatus::kInvalidRequest,
-                        model);
-      return;
-  }
-}
-
-void Connection::enqueue_immediate(std::uint64_t request_id,
-                                   ResponseStatus status,
-                                   const runtime::ModelHandle& model) {
-  // Rejections are accounted at decision time, not flush time, so the
-  // sent == ok + rejected invariant holds even when the client hangs up
-  // before reading its failure.
-  ctx_->metrics->rejected(status).increment();
-  Pending pending;
-  pending.immediate = true;
-  pending.response.request_id = request_id;
-  pending.response.status = status;
+  response.status = admission_check(request, model);
   if (model != nullptr) {
-    pending.response.model_version = model->version;
-    pending.response.model_integer_bits = static_cast<std::uint8_t>(
+    response.model_version = model->version;
+    response.model_integer_bits = static_cast<std::uint8_t>(
         model->classifier.format().integer_bits());
-    pending.response.model_frac_bits =
+    response.model_frac_bits =
         static_cast<std::uint8_t>(model->classifier.format().frac_bits());
   }
-  pending_.push_back(std::move(pending));
+  if (response.status != ResponseStatus::kOk) {
+    respond_now(response, decoded, Clock::now());
+    return;
+  }
+
+  runtime::PackedBatch& batch = loop_->batch;
+  batch.clear();
+  if (!model->scorer.pack_from_f64_le(batch, request.features_le,
+                                      request.sample_count)) {
+    // NaN in the payload: a per-request failure, not a fault in the
+    // quantizer.
+    response.status = ResponseStatus::kInvalidRequest;
+    respond_now(response, decoded, Clock::now());
+    return;
+  }
+  const Clock::time_point packed = Clock::now();
+  switch (ctx_->engine->score(model, batch, loop_->results)) {
+    case runtime::SubmitStatus::kAccepted:
+      break;
+    case runtime::SubmitStatus::kShuttingDown:
+      response.status = ResponseStatus::kShuttingDown;
+      respond_now(response, decoded, packed);
+      return;
+    default:
+      response.status = ResponseStatus::kInvalidRequest;
+      respond_now(response, decoded, packed);
+      return;
+  }
+  const Clock::time_point scored = Clock::now();
+  ctx_->metrics->accepted.increment();
+
+  // Stream the frame straight from the loop's result buffer — no
+  // WireResult staging vector.
+  const std::vector<runtime::ScoreResult>& results = loop_->results;
+  const std::size_t prefix = begin_response_frame(
+      wbuf_, response, static_cast<std::uint16_t>(results.size()));
+  for (const runtime::ScoreResult& r : results) {
+    support::put_u8(wbuf_, static_cast<std::uint8_t>(r.label));
+    support::put_i64le(wbuf_, r.projection_raw);
+  }
+  finish_response_frame(wbuf_, prefix);
+  finish_response(decoded, packed, scored);
 }
 
-void Connection::fail_protocol(FrameError error) {
-  (void)error;  // reason is visible to the peer only as the close
+void Connection::respond_now(const ScoreResponse& response,
+                             Clock::time_point decoded,
+                             Clock::time_point decided) {
+  // Rejections are accounted at decision time, like acceptances, so
+  // the sent == ok + rejected invariant holds even when the client
+  // hangs up before reading its failure.
+  if (response.status != ResponseStatus::kProtocolError) {
+    ctx_->metrics->rejected(response.status).increment();
+  }
+  encode(wbuf_, response);
+  finish_response(decoded, decided, decided);
+}
+
+void Connection::fail_protocol() {
   ctx_->metrics->protocol_errors.increment();
   // Terminal notice: request_id 0 (the offending frame's id may not
-  // even have parsed), then close once it flushes.  Requests already
-  // pipelined ahead of the bad bytes still complete first — they sit
-  // earlier in the pending queue.
-  Pending pending;
-  pending.immediate = true;
-  pending.response.request_id = 0;
-  pending.response.status = ResponseStatus::kProtocolError;
-  pending_.push_back(std::move(pending));
+  // even have parsed), then close once it flushes.  Requests pipelined
+  // ahead of the bad bytes were already answered.
+  ScoreResponse response;
+  response.request_id = 0;
+  response.status = ResponseStatus::kProtocolError;
+  const Clock::time_point now = Clock::now();
+  respond_now(response, now, now);
   close_after_flush_ = true;
 }
 
-void Connection::on_completion(runtime::RequestBlock* block) {
-  // The block's sequence number names its slot; the pointer check
-  // confirms the slot really is this block's.  Unsigned wrap sends a
-  // seq below head_seq_ out of range too.
-  const std::uint64_t index = block->seq - head_seq_;
-  if (index < pending_.size() && pending_[index].block == block) {
-    pending_[index].ready = true;
-    return;
-  }
-  // No pending slot claims this block (the pipeline was torn down
-  // around it); recycle rather than leak.
-  loop_->pool.recycle(block);
-}
-
-bool Connection::pump() {
-  bool encoded = false;
-  while (!pending_.empty() && !dead_) {
-    Pending& head = pending_.front();
-    if (!head.immediate) {
-      // The completion router flips `ready`; no polling.
-      if (!head.ready) break;
-      head.response.model_version = head.model->version;
-      head.response.model_integer_bits = static_cast<std::uint8_t>(
-          head.model->classifier.format().integer_bits());
-      head.response.model_frac_bits = static_cast<std::uint8_t>(
-          head.model->classifier.format().frac_bits());
-    }
-    encode_response(head);
-    pending_.pop_front();
-    ++head_seq_;
-    encoded = true;
-  }
-  return encoded;
-}
-
-void Connection::encode_response(Pending& pending) {
-  if (pending.block != nullptr) {
-    // Stream the frame straight from the pooled block's results — no
-    // WireResult staging vector.
-    const std::vector<runtime::ScoreResult>& results =
-        pending.block->results;
-    const std::size_t prefix = begin_response_frame(
-        wbuf_, pending.response,
-        static_cast<std::uint16_t>(results.size()));
-    for (const runtime::ScoreResult& r : results) {
-      support::put_u8(wbuf_, static_cast<std::uint8_t>(r.label));
-      support::put_i64le(wbuf_, r.projection_raw);
-    }
-    finish_response_frame(wbuf_, prefix);
-    loop_->pool.recycle(pending.block);
-    pending.block = nullptr;
-  } else {
-    encode(wbuf_, pending.response);
-  }
-  ctx_->metrics->responses_sent.increment();
-  ctx_->metrics->serve_latency.record(pending.started.seconds());
+void Connection::finish_response(Clock::time_point decoded,
+                                 Clock::time_point packed,
+                                 Clock::time_point scored) {
+  const Clock::time_point encoded = Clock::now();
+  NetMetrics& metrics = *ctx_->metrics;
+  metrics.responses_sent.increment();
+  metrics.serve_stage_pack.record(seconds_between(decoded, packed));
+  metrics.serve_stage_score.record(seconds_between(packed, scored));
+  metrics.serve_stage_encode.record(seconds_between(scored, encoded));
+  metrics.serve_latency.record(seconds_between(decoded, encoded));
   if (unflushed_bytes() > ctx_->max_write_buffer) {
     // The client is not draining its socket; cut it loose instead of
     // buffering without bound (the response just encoded is lost, which
     // is the documented slow-client contract).
-    ctx_->metrics->slow_client_disconnects.increment();
+    metrics.slow_client_disconnects.increment();
     dead_ = true;
   }
 }

@@ -17,6 +17,12 @@ NetMetrics::NetMetrics(obs::MetricsRegistry* registry)
       bytes_tx(registry_->counter("net.bytes_tx")),
       loop_wakeups(registry_->counter("net.loop_wakeups")),
       serve_latency(registry_->histogram("net.serve_latency")),
+      serve_stage_pack(
+          registry_->histogram("net.serve_stage", {{"stage", "pack"}})),
+      serve_stage_score(
+          registry_->histogram("net.serve_stage", {{"stage", "score"}})),
+      serve_stage_encode(
+          registry_->histogram("net.serve_stage", {{"stage", "encode"}})),
       rejected_queue_full_(registry_->counter(
           "net.rejected", {{"reason", "queue-full"}})),
       rejected_unknown_model_(registry_->counter(

@@ -40,7 +40,7 @@ class NetMetrics {
   obs::Counter& slow_client_disconnects;
 
   // -- request admission --
-  obs::Counter& accepted;         ///< requests admitted to the engine
+  obs::Counter& accepted;         ///< requests admitted and scored
   obs::Counter& responses_sent;   ///< complete response frames flushed
   /// Unrecoverable framing errors (stream torn down afterwards).
   obs::Counter& protocol_errors;
@@ -51,15 +51,21 @@ class NetMetrics {
 
   // -- event-loop behaviour --
   /// epoll_wait returns across all loops.  The no-busy-poll invariant:
-  /// this stays proportional to completions + I/O events, not to wall
-  /// time spent with requests in flight (tests/net/server_test.cpp
-  /// bounds it against responses_sent).
+  /// this stays proportional to I/O events, not to wall time
+  /// (tests/net/server_test.cpp bounds it against responses_sent).
   obs::Counter& loop_wakeups;
 
   // -- latency (seconds) --
   /// Request frame fully decoded -> response frame fully encoded (the
   /// server-side end-to-end view; clients measure the wire round trip).
   obs::Histogram& serve_latency;
+  /// serve_latency split at the packed and scored stamps, as
+  /// "net.serve_stage{stage=pack|score|encode}": admission + quantize,
+  /// scoring, encode.  Adjacent stamps telescope, so the three means
+  /// sum to serve_latency's mean.
+  obs::Histogram& serve_stage_pack;
+  obs::Histogram& serve_stage_score;
+  obs::Histogram& serve_stage_encode;
 
   /// "net.rejected{reason=...}" counter for one non-ok outcome.
   obs::Counter& rejected(ResponseStatus status);

@@ -33,22 +33,24 @@ void set_nodelay(int fd) {
 }  // namespace
 
 /// One event loop: an epoll instance, a wake eventfd, the loop's
-/// serving state (completion queue + block freelist), and the
-/// connections this thread exclusively owns.
+/// scoring scratch, and the connections this thread exclusively owns.
 struct Server::Loop {
   int epoll_fd = -1;
   int wake_fd = -1;
   std::thread thread;
-  /// Completion-delivery target and RequestBlock pool.  Declared before
-  /// `conns`: Connection destructors unregister from (and recycle into)
-  /// this context, so it must outlive the map.
+  /// Scoring scratch every connection of this loop serves through.
   LoopContext serve;
-  /// A connection plus whether EPOLLOUT interest is registered for it.
+  /// A connection, whether EPOLLOUT interest is registered for it, and
+  /// whether it is already on this wakeup's dirty list.
   struct Slot {
     std::unique_ptr<Connection> conn;
     bool write_armed = false;
+    bool dirty = false;
   };
   std::unordered_map<int, Slot> conns;
+  /// Connections touched in the current wakeup (fds, each at most
+  /// once); service_connections walks only these.  Keeps its capacity.
+  std::vector<int> dirty;
   std::mutex inbox_mu;
   std::vector<int> inbox;  ///< accepted fds awaiting adoption
   /// Connection count mirror readable from other threads.
@@ -132,14 +134,6 @@ void Server::start() {
     ev.events = EPOLLIN;
     ev.data.fd = loop->wake_fd;
     ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev);
-    // The completion doorbell: engine workers ring it when scored
-    // blocks land in this loop's CompletionQueue, so the loop blocks
-    // in epoll_wait instead of polling for results.
-    epoll_event cev{};
-    cev.events = EPOLLIN;
-    cev.data.fd = loop->serve.completions->event_fd();
-    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD,
-                loop->serve.completions->event_fd(), &cev);
     loops_.push_back(std::move(loop));
   }
   // The first loop doubles as the acceptor.
@@ -203,7 +197,6 @@ std::size_t Server::connection_count() const {
 void Server::run_loop(Loop& loop, bool is_acceptor) {
   std::vector<epoll_event> events(256);
   bool listener_armed = is_acceptor;
-  const int completion_fd = loop.serve.completions->event_fd();
   while (true) {
     const bool stopping = stop_.load(std::memory_order_acquire);
     if (stopping && listener_armed) {
@@ -212,9 +205,11 @@ void Server::run_loop(Loop& loop, bool is_acceptor) {
       listener_armed = false;
     }
     if (stopping) {
+      // Every request is answered inside the wakeup that read it, so
+      // the drain waits only for unflushed bytes.
       bool idle = true;
       for (const auto& [fd, slot] : loop.conns) {
-        if (slot.conn->pending_count() > 0 || slot.conn->wants_write()) {
+        if (slot.conn->wants_write()) {
           idle = false;
           break;
         }
@@ -226,10 +221,10 @@ void Server::run_loop(Loop& loop, bool is_acceptor) {
       }
     }
 
-    // Loops always block: in-flight requests wake us through the
-    // CompletionQueue's eventfd, so the timeout is only an idle
-    // housekeeping tick (tightened while stopping so the drain deadline
-    // is honored promptly).
+    // Loops always block: a request is scored in the wakeup that read
+    // it, so nothing is ever in flight between wakeups and the timeout
+    // is only an idle housekeeping tick (tightened while stopping so the
+    // drain deadline is honored promptly).
     const int timeout_ms = stopping ? 10 : 200;
     const int n = ::epoll_wait(loop.epoll_fd, events.data(),
                                static_cast<int>(events.size()),
@@ -248,14 +243,14 @@ void Server::run_loop(Loop& loop, bool is_acceptor) {
         adopt_inbox(loop);
         continue;
       }
-      if (fd == completion_fd) {
-        loop.serve.completions->consume_signal();
-        loop.serve.drain_completions();
-        continue;
-      }
       auto it = loop.conns.find(fd);
       if (it == loop.conns.end()) continue;
-      Connection& conn = *it->second.conn;
+      Loop::Slot& slot = it->second;
+      if (!slot.dirty) {
+        slot.dirty = true;
+        loop.dirty.push_back(fd);
+      }
+      Connection& conn = *slot.conn;
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
         // Mark dead, don't close yet: closing mid-batch frees the fd
         // number, which a same-batch accept could reuse — later stale
@@ -355,11 +350,17 @@ void Server::close_connection(Loop& loop, int fd) {
 }
 
 void Server::service_connections(Loop& loop) {
-  std::vector<int> finished;
-  for (auto& [fd, slot] : loop.conns) {
+  // Only the connections this wakeup touched can have new output, a
+  // changed write interest, or a reason to close.  Closing erases from
+  // the map, never from `dirty`, so the walk stays valid.
+  for (const int fd : loop.dirty) {
+    auto it = loop.conns.find(fd);
+    if (it == loop.conns.end()) continue;
+    Loop::Slot& slot = it->second;
+    slot.dirty = false;
     Connection& conn = *slot.conn;
     if (!conn.dead()) {
-      if (conn.pump()) conn.flush();
+      conn.flush();
       // Level-triggered EPOLLOUT only while bytes are stuck in the
       // buffer, so an idle writable socket does not spin the loop.
       const bool want = conn.wants_write() && !conn.dead();
@@ -371,9 +372,9 @@ void Server::service_connections(Loop& loop) {
         slot.write_armed = want;
       }
     }
-    if (conn.finished()) finished.push_back(fd);
+    if (conn.finished()) close_connection(loop, fd);
   }
-  for (const int fd : finished) close_connection(loop, fd);
+  loop.dirty.clear();
 }
 
 }  // namespace ldafp::net

@@ -6,21 +6,21 @@
 // over through an eventfd-signalled inbox), so connection state is
 // single-threaded by construction — the only cross-thread traffic is
 // the thread-safe engine/registry/metrics trio every loop shares.
-// Completion-driven: each loop owns a LoopContext (CompletionQueue +
-// RequestBlock freelist), registers the queue's eventfd in its epoll
-// set, and blocks in epoll_wait at a real timeout even while requests
-// are in flight — engine workers ring the doorbell when scored blocks
-// are ready, so a loop wakes exactly when there is I/O or a reply to
-// encode, never to poll ("net.loop_wakeups" counts the wakes; a test
-// bounds them against completions).
+// Run to completion: a loop scores each request inside the wakeup that
+// read it (Connection::ingest → InferenceEngine::score) and flushes the
+// response before it sleeps again, so it blocks in epoll_wait with
+// nothing in flight and wakes only for I/O ("net.loop_wakeups" counts
+// the wakes; a test bounds them against responses).  Each wakeup
+// services only the connections its events touched.
 //
 // The server serves whatever the ModelRegistry holds: requests route
 // by model name (multi-tenant), hot swaps apply at the next request's
 // registry resolve, and `default_model` catches requests that name no
-// model.  Admission control composes with the engine: kQueueFull maps
-// to a protocol-level REJECTED response, shutdown drains in-flight
-// work before closing, and every stage records into the NetMetrics
-// block ("net.*" identities).
+// model.  Overload shows as TCP flow control (a loop reads one chunk
+// per readiness event) and the write-bound disconnect of clients that
+// stop reading; shutdown answers new requests kShuttingDown and waits
+// for unflushed bytes before closing; every stage records into the
+// NetMetrics block ("net.*" identities).
 #pragma once
 
 #include <atomic>
@@ -57,7 +57,8 @@ struct ServerOptions {
   /// requests fail kUnknownModel).
   std::string default_model;
 
-  /// Scoring engine (borrowed, required, outlives the server).
+  /// Scoring engine (borrowed, required, outlives the server); the
+  /// loops call its synchronous score().
   runtime::InferenceEngine* engine = nullptr;
   /// Model store (borrowed, required, outlives the server).
   runtime::ModelRegistry* registry = nullptr;
@@ -85,7 +86,7 @@ class Server {
   void start();
 
   /// Graceful shutdown: stops accepting, answers new requests with
-  /// kShuttingDown, waits up to `drain_seconds` for in-flight responses
+  /// kShuttingDown, waits up to `drain_seconds` for encoded responses
   /// to flush, then closes every connection and joins the loops.
   /// Idempotent.
   void stop(double drain_seconds = 5.0);

@@ -50,34 +50,40 @@ InferenceEngine::InferenceEngine(EngineOptions options)
 
 InferenceEngine::~InferenceEngine() { shutdown(); }
 
-SubmitStatus InferenceEngine::submit(RequestBlock* block) {
-  if (block == nullptr || block->model == nullptr ||
-      block->batch.rows == 0 ||
-      block->batch.dim != block->model->classifier.dim()) {
+double InferenceEngine::occupancy(std::size_t rows) const {
+  // A whole request can overshoot max_batch; that batch is full.
+  return std::min(1.0, static_cast<double>(rows) /
+                           static_cast<double>(options_.max_batch));
+}
+
+SubmitStatus InferenceEngine::score(const ModelHandle& model,
+                                    const PackedBatch& batch,
+                                    std::vector<ScoreResult>& results) {
+  using clock = std::chrono::steady_clock;
+  const clock::time_point admitted = clock::now();
+  if (model == nullptr || batch.rows == 0 ||
+      batch.dim != model->classifier.dim()) {
     return SubmitStatus::kInvalidRequest;
   }
   if (!accepting_.load(std::memory_order_acquire)) {
     return SubmitStatus::kShuttingDown;
   }
-  block->submitted = support::WallTimer();
-  RequestBlock* item = block;
-  switch (queue_.try_push(std::move(item))) {
-    case PushResult::kOk:
-      stats_.requests_submitted.increment();
-      // The queue's depth and high-water mark are mirrored into the
-      // stats block at admission so exports are self-contained.
-      stats_.queue_depth.set(static_cast<double>(queue_.size()));
-      stats_.queue_depth_high_water.set_max(
-          static_cast<double>(queue_.high_water_mark()));
-      return SubmitStatus::kAccepted;
-    case PushResult::kFull:
-      stats_.requests_rejected.increment();
-      stats_.queue_depth.set(static_cast<double>(queue_.size()));
-      return SubmitStatus::kQueueFull;
-    case PushResult::kClosed:
-      return SubmitStatus::kShuttingDown;
-  }
-  return SubmitStatus::kShuttingDown;
+  stats_.requests_submitted.increment();
+  const clock::time_point started = clock::now();
+  results.resize(batch.rows);
+  model->scorer.score(batch, results.data());
+  const clock::time_point done = clock::now();
+  stats_.queue_wait.record(
+      std::chrono::duration<double>(started - admitted).count());
+  stats_.batch_execute.record(
+      std::chrono::duration<double>(done - started).count());
+  stats_.batch_occupancy.record(occupancy(batch.rows));
+  stats_.batches_scored.increment();
+  stats_.samples_scored.add(batch.rows);
+  stats_.requests_completed.increment();
+  stats_.request_total.record(
+      std::chrono::duration<double>(done - admitted).count());
+  return SubmitStatus::kAccepted;
 }
 
 Submission InferenceEngine::submit(ModelHandle model,
@@ -99,22 +105,33 @@ Submission InferenceEngine::submit(ModelHandle model,
     return submission;
   }
 
-  auto block = std::make_unique<RequestBlock>();
-  block->model = std::move(model);
-  block->model->scorer.pack_into(block->batch, samples.data(),
-                                 samples.size());
-  block->promise =
-      std::make_unique<std::promise<std::vector<ScoreResult>>>();
+  auto job = std::make_unique<Job>();
+  job->model = std::move(model);
+  job->model->scorer.pack_into(job->batch, samples.data(), samples.size());
   // The future must be taken before admission: a worker may fulfill
-  // (and delete) the block immediately.
-  submission.result = block->promise->get_future();
-
-  submission.status = submit(block.get());
-  if (submission.status == SubmitStatus::kAccepted) {
-    block.release();  // the engine owns it now
-  } else {
-    submission.result = {};
+  // (and free) the job immediately.
+  submission.result = job->promise.get_future();
+  job->submitted = support::WallTimer();
+  switch (queue_.try_push(std::move(job))) {
+    case PushResult::kOk:
+      stats_.requests_submitted.increment();
+      // The queue's depth and high-water mark are mirrored into the
+      // stats block at admission so exports are self-contained.
+      stats_.queue_depth.set(static_cast<double>(queue_.size()));
+      stats_.queue_depth_high_water.set_max(
+          static_cast<double>(queue_.high_water_mark()));
+      submission.status = SubmitStatus::kAccepted;
+      return submission;
+    case PushResult::kFull:
+      stats_.requests_rejected.increment();
+      stats_.queue_depth.set(static_cast<double>(queue_.size()));
+      submission.status = SubmitStatus::kQueueFull;
+      break;
+    case PushResult::kClosed:
+      submission.status = SubmitStatus::kShuttingDown;
+      break;
   }
+  submission.result = {};
   return submission;
 }
 
@@ -124,15 +141,11 @@ Submission InferenceEngine::submit(ModelHandle model, linalg::Vector sample) {
   return submit(std::move(model), std::move(samples));
 }
 
-void InferenceEngine::pause() { queue_.pause(); }
-
-void InferenceEngine::resume() { queue_.resume(); }
-
 void InferenceEngine::shutdown() {
   std::call_once(shutdown_once_, [this] {
     accepting_.store(false, std::memory_order_release);
     // Closing the queue flips pushes to kClosed and lets the workers
-    // drain the backlog, parked or not.
+    // drain the backlog.
     queue_.close();
     for (std::thread& worker : workers_) worker.join();
   });
@@ -141,7 +154,7 @@ void InferenceEngine::shutdown() {
 void InferenceEngine::worker_loop() {
   using clock = std::chrono::steady_clock;
   WorkerScratch scratch;
-  std::vector<RequestBlock*>& batch = scratch.batch;
+  std::vector<std::unique_ptr<Job>>& batch = scratch.batch;
   while (true) {
     batch.clear();
 
@@ -152,10 +165,10 @@ void InferenceEngine::worker_loop() {
     // budget, though a deep queue fills the batch without waiting).
     // Requests ride whole, so one oversized request still scores in a
     // single pass.
-    RequestBlock* first = nullptr;
+    std::unique_ptr<Job> first;
     if (!queue_.pop(first)) return;  // closed and drained
     std::size_t sample_count = first->batch.rows;
-    batch.push_back(first);
+    batch.push_back(std::move(first));
     const double depth_frac = std::min(
         1.0, static_cast<double>(queue_.size() + 1) /
                  static_cast<double>(options_.max_batch));
@@ -163,25 +176,21 @@ void InferenceEngine::worker_loop() {
         options_.max_wait_seconds * depth_frac * 1e9));
     const auto deadline = clock::now() + linger;
     while (sample_count < options_.max_batch) {
-      RequestBlock* next = nullptr;
+      std::unique_ptr<Job> next;
       if (queue_.pop_wait_until(next, deadline) != PopResult::kItem) break;
       sample_count += next->batch.rows;
-      batch.push_back(next);
+      batch.push_back(std::move(next));
     }
     stats_.queue_depth.set(static_cast<double>(queue_.size()));
-    // A whole request can overshoot max_batch; that batch is full.
-    stats_.batch_occupancy.record(
-        std::min(1.0, static_cast<double>(sample_count) /
-                          static_cast<double>(options_.max_batch)));
+    stats_.batch_occupancy.record(occupancy(sample_count));
 
     // Group by model snapshot (pointer identity — a hot-swap installs a
     // new snapshot, so mixed traffic around a swap splits cleanly) in
     // one stable pass: batches hold at most a handful of distinct
-    // snapshots, so the key scan is a short linear probe, not the old
-    // quadratic grouped[] sweep.
+    // snapshots, so the key scan is a short linear probe.
     scratch.group_keys.clear();
-    for (RequestBlock* block : batch) {
-      const ModelSnapshot* key = block->model.get();
+    for (const std::unique_ptr<Job>& job : batch) {
+      const ModelSnapshot* key = job->model.get();
       std::size_t g = 0;
       while (g < scratch.group_keys.size() &&
              scratch.group_keys[g] != key) {
@@ -194,7 +203,7 @@ void InferenceEngine::worker_loop() {
         }
         scratch.groups[g].clear();
       }
-      scratch.groups[g].push_back(block);
+      scratch.groups[g].push_back(job.get());
     }
     for (std::size_t g = 0; g < scratch.group_keys.size(); ++g) {
       score_group(*scratch.groups[g].front()->model, scratch.groups[g],
@@ -204,70 +213,51 @@ void InferenceEngine::worker_loop() {
 }
 
 void InferenceEngine::score_group(const ModelSnapshot& model,
-                                  std::vector<RequestBlock*>& group,
+                                  std::vector<Job*>& group,
                                   WorkerScratch& scratch) {
   obs::ScopedSpan span(tracer_, "engine.batch");
-  for (const RequestBlock* block : group) {
-    stats_.queue_wait.record(block->submitted.seconds());
+  for (const Job* job : group) {
+    stats_.queue_wait.record(job->submitted.seconds());
   }
 
   support::WallTimer exec;
   std::size_t rows = 0;
   if (group.size() == 1) {
-    // Single-request group: score straight into the block's pooled
-    // result buffer — no merge, no copy.
-    RequestBlock* block = group.front();
-    block->results.resize(block->batch.rows);
-    model.scorer.score(block->batch, block->results.data());
-    rows = block->batch.rows;
+    // Single-request group: score straight into the job's result
+    // buffer — no merge, no copy.
+    Job* job = group.front();
+    job->results.resize(job->batch.rows);
+    model.scorer.score(job->batch, job->results.data());
+    rows = job->batch.rows;
   } else {
     // Multi-request group: restripe the per-request tiles into one
     // contiguous batch (word moves, no re-quantization), score once,
-    // then copy each request's span back into its pooled reply.
+    // then copy each request's span back into its reply.
     scratch.merged.clear();
-    for (const RequestBlock* block : group) {
-      scratch.merged.append_packed(block->batch);
-    }
+    for (const Job* job : group) scratch.merged.append_packed(job->batch);
     scratch.scored.resize(scratch.merged.rows);
     model.scorer.score(scratch.merged, scratch.scored.data());
     std::size_t offset = 0;
-    for (RequestBlock* block : group) {
-      const std::size_t n = block->batch.rows;
-      block->results.assign(scratch.scored.begin() + offset,
-                            scratch.scored.begin() + offset + n);
+    for (Job* job : group) {
+      const std::size_t n = job->batch.rows;
+      job->results.assign(scratch.scored.begin() + offset,
+                          scratch.scored.begin() + offset + n);
       offset += n;
     }
     rows = scratch.merged.rows;
   }
   stats_.batch_execute.record(exec.seconds());
 
-  // Counters settle before delivery: a caller woken by its future (or
-  // completion) must see this batch already accounted for.
+  // Counters settle before delivery: a caller woken by its future must
+  // see this batch already accounted for.
   stats_.batches_scored.increment();
   stats_.samples_scored.add(rows);
   stats_.requests_completed.add(group.size());
-  for (RequestBlock* block : group) deliver(block);
+  for (Job* job : group) {
+    stats_.request_total.record(job->submitted.seconds());
+    job->promise.set_value(std::move(job->results));
+  }
   group.clear();
-}
-
-void InferenceEngine::deliver(RequestBlock* block) {
-  stats_.request_total.record(block->submitted.seconds());
-  if (block->promise != nullptr) {
-    // Adapter path: move the promise and results out, free the block,
-    // then resolve — the future's shared state outlives the block.
-    auto promise = std::move(block->promise);
-    std::vector<ScoreResult> results = std::move(block->results);
-    delete block;
-    promise->set_value(std::move(results));
-    return;
-  }
-  if (std::shared_ptr<CompletionQueue> queue = block->completions.lock()) {
-    queue->push(block);
-    return;
-  }
-  // The consumer tore down while this block was in flight; nobody can
-  // receive it.
-  delete block;
 }
 
 }  // namespace ldafp::runtime

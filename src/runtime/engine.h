@@ -1,27 +1,29 @@
-// Multi-threaded batched inference engine.
+// Batched inference engine: one synchronous scoring call for the serve
+// path, and a worker pool behind a future adapter for everyone else.
 //
-// The serving pipeline is completion-driven: submit(RequestBlock*)
-// admits a pooled record that already carries its quantized PackedBatch
-// (packed at ingest — no per-sample vectors, no re-quantization) into a
-// bounded MPMC queue; a fixed pool of workers pops micro-batches (up to
-// max_batch samples, lingering adaptively for stragglers), groups them
-// by model snapshot in one stable pass, scores each group through the
-// model's BatchScorer, and pushes each finished block onto its
-// submitter's CompletionQueue — ringing that consumer's eventfd so an
-// epoll loop wakes exactly when replies exist instead of polling
-// futures.  Results are bit-identical to calling
+// The serve path scores on the thread that decoded the request:
+// score(model, batch, results) runs submit's admission checks, scores a
+// PackedBatch (already quantized at ingest by the model's BatchScorer)
+// into the caller's result buffer, and records the same RuntimeStats
+// series a one-request worker batch records.  Nothing crosses a
+// thread, so an epoll loop that calls it produces each response in
+// request order by construction (DESIGN.md §15).
+//
+// submit(model, samples) is the one-shot adapter for callers that are
+// not serve loops (examples, benches): it packs on the calling thread,
+// admits one request into a bounded MPMC queue, and a fixed pool of
+// workers pops micro-batches (up to max_batch samples, lingering
+// adaptively for stragglers), groups them by model snapshot, scores
+// each group through the model's BatchScorer and resolves each
+// request's future.  Either way results are bit-identical to calling
 // FixedClassifier::classify per sample — batching and lane-merging
-// change throughput, never bits (tests/runtime/engine_test.cpp and
-// completion_test.cpp hold the cross-check under concurrency).
+// change throughput, never bits (tests/runtime/engine_test.cpp).
 //
-// A thin future-based submit() adapter survives for callers that want
-// one-shot request/response without owning a completion queue; it rides
-// the same block pipeline with a promise attached.
-//
-// Overload behaviour is explicit: a full queue rejects the submission
-// with SubmitStatus::kQueueFull instead of buffering without bound, and
-// shutdown() closes admission, drains every in-flight request, then
-// joins the workers — a drained engine never drops a completion.
+// Overload on the adapter is explicit: a full queue rejects the
+// submission with SubmitStatus::kQueueFull instead of buffering without
+// bound, and shutdown() closes admission, drains every queued request,
+// then joins the workers.  After shutdown() both paths answer
+// kShuttingDown.
 #pragma once
 
 #include <atomic>
@@ -35,7 +37,6 @@
 #include "linalg/vector.h"
 #include "obs/sink.h"
 #include "runtime/batch_scorer.h"
-#include "runtime/completion.h"
 #include "runtime/queue.h"
 #include "runtime/registry.h"
 #include "runtime/stats.h"
@@ -44,7 +45,7 @@
 
 namespace ldafp::runtime {
 
-/// Engine sizing and micro-batching policy.
+/// Engine sizing and the adapter path's micro-batching policy.
 struct EngineOptions {
   /// Worker threads in the scoring pool (>= 1).
   std::size_t workers = 4;
@@ -64,16 +65,17 @@ struct EngineOptions {
   /// Observability seam (may be null = self-contained).  When
   /// `sink->metrics` is set the engine binds its RuntimeStats handles
   /// into that registry, so "runtime.*" metrics export alongside the
-  /// rest of the process; when `sink->tracer` is set each scored batch
-  /// records an "engine.batch" span.  Scoring results are identical
-  /// either way.
+  /// rest of the process; when `sink->tracer` is set each worker batch
+  /// records an "engine.batch" span (score() records none: a span per
+  /// served request would grow the trace without bound).  Scoring
+  /// results are identical either way.
   obs::Sink* sink = nullptr;
 
   /// Checks the sizing knobs; called once by the engine constructor.
   Status validate() const;
 };
 
-/// Admission outcome of submit().
+/// Admission outcome of submit() and score().
 enum class SubmitStatus {
   kAccepted,
   kQueueFull,      ///< backpressure — shed or retry with backoff
@@ -103,30 +105,28 @@ class InferenceEngine {
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
-  /// Completion-driven admission (the serve hot path).  `block` must
-  /// carry a model handle and a non-empty PackedBatch packed by that
-  /// model's scorer; `block->completions` (or `block->promise`) names
-  /// the delivery target.  On kAccepted the engine owns the block until
-  /// it delivers the completion — exactly once, even across shutdown.
-  /// On any other status ownership stays with the caller (recycle or
-  /// retry).  Thread-safe.
-  SubmitStatus submit(RequestBlock* block);
+  /// Synchronous scoring on the calling thread (the serve path).
+  /// `batch` must be non-empty and packed by `model`'s scorer.  On
+  /// kAccepted `results` holds one ScoreResult per batch row, in order
+  /// (resized in place, so a reused buffer stops allocating once warm).
+  /// kInvalidRequest (null model, empty batch, dim mismatch) and
+  /// kShuttingDown (after shutdown()) leave `results` untouched; the
+  /// call never answers kQueueFull.  Records requests_submitted,
+  /// queue_wait (entry to the start of scoring), batch_execute,
+  /// batch_occupancy, batches_scored, samples_scored,
+  /// requests_completed and request_total, as a one-request worker batch
+  /// would.  Thread-safe.
+  SubmitStatus score(const ModelHandle& model, const PackedBatch& batch,
+                     std::vector<ScoreResult>& results);
 
   /// Future-based adapter: enqueues `samples` for scoring against
   /// `model`.  All samples of a request ride in one queue slot and
-  /// resolve through one future.  (Unlike the block path, this packs on
-  /// the submitting thread and pays one promise allocation.)
+  /// resolve through one future.  Packs on the submitting thread and
+  /// pays one heap record (with its promise) per request.
   Submission submit(ModelHandle model, std::vector<linalg::Vector> samples);
 
   /// Single-sample convenience.
   Submission submit(ModelHandle model, linalg::Vector sample);
-
-  /// Parks the workers: once this returns no worker takes another
-  /// request until resume(); batches already popped finish (a lingering
-  /// batch stops growing).  Admission and backpressure stay live.
-  void pause();
-  /// Unparks the workers.
-  void resume();
 
   /// Stops admission, drains every queued request, joins the pool.
   /// Idempotent; called by the destructor.
@@ -140,30 +140,38 @@ class InferenceEngine {
   const EngineOptions& options() const { return options_; }
 
  private:
-  /// Per-worker reusable scratch: the merged packed batch, the scored
-  /// results staging area, and the grouping arrays all live for the
-  /// worker's lifetime, so the steady-state scoring path allocates
-  /// nothing once warm.
+  /// One adapter request: the snapshot it was packed against (grouping
+  /// key; keeps the model alive through scoring), its packed samples,
+  /// the scored results and the promise they resolve.
+  struct Job {
+    ModelHandle model;
+    PackedBatch batch;
+    std::vector<ScoreResult> results;
+    std::promise<std::vector<ScoreResult>> promise;
+    support::WallTimer submitted;  ///< admission -> delivery
+  };
+
+  /// Per-worker reusable scratch: the popped jobs, the grouping arrays,
+  /// the merged packed batch and the scored results staging area all
+  /// live for the worker's lifetime.
   struct WorkerScratch {
-    std::vector<RequestBlock*> batch;
+    std::vector<std::unique_ptr<Job>> batch;
     std::vector<const ModelSnapshot*> group_keys;
-    std::vector<std::vector<RequestBlock*>> groups;
+    std::vector<std::vector<Job*>> groups;
     PackedBatch merged;
     std::vector<ScoreResult> scored;
   };
 
   void worker_loop();
-  void score_group(const ModelSnapshot& model,
-                   std::vector<RequestBlock*>& group,
+  void score_group(const ModelSnapshot& model, std::vector<Job*>& group,
                    WorkerScratch& scratch);
-  /// Hands a scored block to its delivery target (completion queue,
-  /// promise, or — when the consumer is gone — the deleter).
-  void deliver(RequestBlock* block);
+  /// Fill fraction of a scored batch of `rows` samples, capped at 1.
+  double occupancy(std::size_t rows) const;
 
   EngineOptions options_;
   obs::Tracer* tracer_ = nullptr;
   RuntimeStats stats_;
-  BoundedQueue<RequestBlock*> queue_;
+  BoundedQueue<std::unique_ptr<Job>> queue_;
 
   std::atomic<bool> accepting_{true};
   std::once_flag shutdown_once_;

@@ -1,15 +1,13 @@
 // Bounded MPMC queue with backpressure — the admission control point of
-// the inference engine.
+// the inference engine's future adapter.
 //
 // Producers use try_push only: a full queue is an immediate, explicit
 // rejection (the caller gets a status and can shed load upstream), never
 // an unbounded buffer or a blocked client thread.  Consumers block, and
 // pop_until supports the engine's micro-batching policy: take what is
 // there, then linger up to a deadline for more to amortize per-batch
-// overhead.  pause() holds the consumers: nothing is taken until
-// resume(), while pushes still admit (so backpressure stays live).
-// close() starts the drain phase — pushes fail fast while consumers keep
-// popping until the queue is empty, paused or not.
+// overhead.  close() starts the drain phase — pushes fail fast while
+// consumers keep popping until the queue is empty.
 #pragma once
 
 #include <chrono>
@@ -61,7 +59,7 @@ class BoundedQueue {
   /// Blocking dequeue.  False only when the queue is closed and drained.
   bool pop(T& out) {
     std::unique_lock lock(mu_);
-    ready_.wait(lock, [this] { return closed_ || poppable(); });
+    ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
     if (items_.empty()) return false;
     out = std::move(items_.front());
     items_.pop_front();
@@ -76,30 +74,13 @@ class BoundedQueue {
       T& out, std::chrono::time_point<Clock, Duration> deadline) {
     std::unique_lock lock(mu_);
     ready_.wait_until(lock, deadline,
-                      [this] { return closed_ || poppable(); });
-    if (poppable()) {
+                      [this] { return closed_ || !items_.empty(); });
+    if (!items_.empty()) {
       out = std::move(items_.front());
       items_.pop_front();
       return PopResult::kItem;
     }
     return closed_ ? PopResult::kClosed : PopResult::kTimeout;
-  }
-
-  /// Holds the consumers: once this returns, no pop takes an item until
-  /// resume() (or close()).  A pop already past its dequeue keeps its
-  /// item; a pop_wait_until still lingering times out empty-handed.
-  void pause() {
-    std::lock_guard lock(mu_);
-    paused_ = true;
-  }
-
-  /// Releases paused consumers.
-  void resume() {
-    {
-      std::lock_guard lock(mu_);
-      paused_ = false;
-    }
-    ready_.notify_all();
   }
 
   /// Closes the queue: subsequent pushes fail with kClosed, consumers
@@ -131,17 +112,12 @@ class BoundedQueue {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  /// An item may be taken: queued, and not held by a pause (close()
-  /// lifts the hold so the drain can finish).  Caller holds mu_.
-  bool poppable() const { return !items_.empty() && (!paused_ || closed_); }
-
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable ready_;
   std::deque<T> items_;
   std::size_t high_water_ = 0;
   bool closed_ = false;
-  bool paused_ = false;
 };
 
 }  // namespace ldafp::runtime

@@ -1,7 +1,7 @@
 // Serving telemetry: thin views over obs::MetricsRegistry handles.
 //
-// One RuntimeStats block lives in the engine; submit paths and workers
-// update it through lock-free registry handles (relaxed counters,
+// One RuntimeStats block lives in the engine; score(), submit and the
+// workers update it through lock-free registry handles (relaxed counters,
 // log-linear obs::Histogram buckets), so telemetry never serializes the
 // hot path.  Every histogram here times a duration in seconds except
 // batch_occupancy, which is registered with the ratio unit and renders
@@ -44,12 +44,12 @@ class RuntimeStats {
   // -- worker batching --
   obs::Counter& batches_scored;
 
-  /// Live request-queue depth (mirrored from the queue by the engine at
-  /// submit and batch-formation time), plus the configured capacity —
-  /// together they make backpressure visible in every exported
-  /// snapshot: utilization is queue_depth / queue_capacity, and a
-  /// rejected-requests counter climbing while depth pins at capacity is
-  /// the kQueueFull signature bench/serve_load asserts on.
+  /// Live depth of the future adapter's request queue (mirrored from
+  /// the queue by the engine at submit and batch-formation time), plus
+  /// the configured capacity — together they make the adapter's
+  /// backpressure visible in every exported snapshot: a rejected
+  /// counter climbing while depth pins at capacity is the kQueueFull
+  /// signature.
   obs::Gauge& queue_depth;
   obs::Gauge& queue_capacity;
 
@@ -58,13 +58,15 @@ class RuntimeStats {
   obs::Gauge& queue_depth_high_water;
 
   // -- per-stage latency (seconds) --
-  obs::Histogram& queue_wait;     ///< submit -> batch formation
-  obs::Histogram& batch_execute;  ///< pack + score of one batch
-  obs::Histogram& request_total;  ///< submit -> completion delivered
+  /// Admission -> start of scoring: the queue and linger on the adapter
+  /// path, only the admission checks in score().
+  obs::Histogram& queue_wait;
+  obs::Histogram& batch_execute;  ///< scoring of one batch
+  obs::Histogram& request_total;  ///< admission -> results ready
 
-  /// Fill fraction of each formed micro-batch (samples / max_batch,
-  /// in (0, 1], unit ratio); the adaptive linger's efficiency signal — a
-  /// distribution pinned low under load means batching is not
+  /// Fill fraction of each scored batch (samples / max_batch, in
+  /// (0, 1], unit ratio); on the adapter path the adaptive linger's
+  /// efficiency signal — pinned low under load means batching is not
   /// amortizing, pinned at 1.0 means the queue always fills the batch.
   obs::Histogram& batch_occupancy;
 

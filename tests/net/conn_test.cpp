@@ -1,17 +1,22 @@
 // Sans-I/O connection state machine: frame reassembly from arbitrary
 // byte splits, pipelined response ordering, the per-request error
-// taxonomy, and slow-client/protocol-error teardown — all without a
-// socket (Connection with fd = -1, driven through ingest/pump and the
-// output test hooks).
+// taxonomy, the serve-stage telescope, the steady-state allocation
+// budget, and slow-client/protocol-error teardown — all without a
+// network socket (Connection with fd = -1, driven through ingest and the
+// output test hooks; the read shim's one-chunk rule runs over a
+// socketpair).
 #include "net/conn.h"
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <cstdlib>
 #include <limits>
-#include <thread>
+#include <new>
 #include <vector>
 
 #include "net/protocol.h"
@@ -56,21 +61,6 @@ class ConnTest : public ::testing::Test {
     return r;
   }
 
-  /// Drives the connection until every pending slot has completed or
-  /// the deadline passes — routing engine completions the way the
-  /// serving loop does (drain_completions), then pumping.
-  void drain(Connection& conn, double seconds = 5.0) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(seconds);
-    while (conn.pending_count() > 0 && !conn.dead()) {
-      loop_.drain_completions();
-      conn.pump();
-      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "connection did not drain";
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-
   /// Decodes every complete response frame buffered in the connection's
   /// output, consuming the bytes like a socket would.
   std::vector<ScoreResponse> responses(Connection& conn) {
@@ -93,11 +83,11 @@ class ConnTest : public ::testing::Test {
   static constexpr std::uint16_t kDim = 6;
   runtime::ModelRegistry registry_;
   runtime::ModelHandle model_;
-  runtime::InferenceEngine engine_{{.workers = 2}};
+  runtime::InferenceEngine engine_{{.workers = 1}};
   NetMetrics metrics_;
   std::atomic<bool> draining_{false};
   ServeContext context_;
-  /// Completion routing + block pool, as one serving event loop owns it.
+  /// Scoring scratch, as one serving event loop owns it.
   LoopContext loop_;
 };
 
@@ -107,8 +97,6 @@ TEST_F(ConnTest, SingleRequestScoresAgainstTheClassifier) {
   const ScoreRequest req = request(1);
   encode(wire, req);
   conn.ingest(wire.data(), wire.size());
-  EXPECT_EQ(conn.pending_count(), 1u);
-  drain(conn);
 
   const auto got = responses(conn);
   ASSERT_EQ(got.size(), 1u);
@@ -133,7 +121,6 @@ TEST_F(ConnTest, ByteAtATimeIngestReassemblesTheFrame) {
     EXPECT_FALSE(conn.dead());
     conn.ingest(&byte, 1);
   }
-  drain(conn);
   const auto got = responses(conn);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].request_id, 3u);
@@ -146,10 +133,8 @@ TEST_F(ConnTest, SplitAtEveryOffsetDecodesIdentically) {
   for (std::size_t split = 1; split < wire.size(); ++split) {
     Connection conn(-1, &context_, &loop_);
     conn.ingest(wire.data(), split);
-    EXPECT_EQ(conn.pending_count(), 0u) << "split " << split;
+    EXPECT_EQ(conn.unflushed_bytes(), 0u) << "split " << split;
     conn.ingest(wire.data() + split, wire.size() - split);
-    EXPECT_EQ(conn.pending_count(), 1u) << "split " << split;
-    drain(conn);
     const auto got = responses(conn);
     ASSERT_EQ(got.size(), 1u) << "split " << split;
     EXPECT_EQ(got[0].status, ResponseStatus::kOk);
@@ -162,7 +147,6 @@ TEST_F(ConnTest, PipelinedResponsesComeBackInRequestOrder) {
   std::vector<std::uint8_t> wire;
   for (std::uint64_t id = 1; id <= kCount; ++id) encode(wire, request(id));
   conn.ingest(wire.data(), wire.size());
-  drain(conn);
   const auto got = responses(conn);
   ASSERT_EQ(got.size(), kCount);
   for (std::uint64_t id = 1; id <= kCount; ++id) {
@@ -189,7 +173,6 @@ TEST_F(ConnTest, MixedOutcomesPreserveOrderAndTheConnection) {
   encode(wire, request(5));
 
   conn.ingest(wire.data(), wire.size());
-  drain(conn);
   const auto got = responses(conn);
   ASSERT_EQ(got.size(), 5u);
   EXPECT_EQ(got[0].status, ResponseStatus::kOk);
@@ -214,7 +197,6 @@ TEST_F(ConnTest, DrainingAnswersShuttingDown) {
   std::vector<std::uint8_t> wire;
   encode(wire, request(1));
   conn.ingest(wire.data(), wire.size());
-  drain(conn);
   const auto got = responses(conn);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].status, ResponseStatus::kShuttingDown);
@@ -230,7 +212,6 @@ TEST_F(ConnTest, MalformedFrameGetsTerminalProtocolError) {
   garbage[wire.size() + 5] ^= 0xFF;  // corrupt the second frame's magic
   conn.ingest(garbage.data(), garbage.size());
   EXPECT_TRUE(conn.close_after_flush());
-  drain(conn);
 
   const auto got = responses(conn);
   ASSERT_EQ(got.size(), 2u);
@@ -245,7 +226,8 @@ TEST_F(ConnTest, MalformedFrameGetsTerminalProtocolError) {
   std::vector<std::uint8_t> more;
   encode(more, request(9));
   conn.ingest(more.data(), more.size());
-  EXPECT_EQ(conn.pending_count(), 0u);
+  EXPECT_EQ(conn.unflushed_bytes(), 0u);
+  EXPECT_EQ(metrics_.accepted.load(), 1u);
 }
 
 TEST_F(ConnTest, OversizedFrameIsTerminal) {
@@ -260,7 +242,6 @@ TEST_F(ConnTest, OversizedFrameIsTerminal) {
   encode(wire, big);  // well-formed, but larger than this server allows
   conn.ingest(wire.data(), wire.size());
   EXPECT_TRUE(conn.close_after_flush());
-  drain(conn);
   const auto got = responses(conn);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].status, ResponseStatus::kProtocolError);
@@ -272,71 +253,116 @@ TEST_F(ConnTest, SlowClientIsDisconnectedAtTheWriteBound) {
   Connection conn(-1, &tight, &loop_);
   std::vector<std::uint8_t> wire;
   for (std::uint64_t id = 1; id <= 16; ++id) encode(wire, request(id));
-  conn.ingest(wire.data(), wire.size());
   // Never consume output: the unflushed responses cross the bound.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(5);
-  while (!conn.dead() &&
-         std::chrono::steady_clock::now() < deadline) {
-    loop_.drain_completions();
-    conn.pump();
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  conn.ingest(wire.data(), wire.size());
   EXPECT_TRUE(conn.dead());
   EXPECT_EQ(metrics_.slow_client_disconnects.load(), 1u);
   EXPECT_TRUE(conn.finished());
 }
 
-// The head-of-line guarantee under adversarial completion order: the
-// test intercepts the loop's completion queue, hands the scored blocks
-// back to the connection in *reverse* submission order, and the
-// responses still come out in request order.  The deep pipeline (4096
-// pending slots) pins the O(1) sequence-indexed completion lookup: a
-// front-to-back scan would cost O(k^2) to drain it.
-TEST_F(ConnTest, OutOfOrderCompletionsStayHeadOfLineOrdered) {
-  for (const std::uint64_t count : {std::uint64_t{8}, std::uint64_t{4096}}) {
-    Connection conn(-1, &context_, &loop_);
-    // Collect every scored block straight off the CompletionQueue,
-    // bypassing drain_completions' routing.  Requests go in in chunks
-    // the engine queue can hold, so none is answered kRejected.
-    constexpr std::uint64_t kChunk = 256;
-    std::vector<runtime::RequestBlock*> blocks;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    for (std::uint64_t first = 1; first <= count; first += kChunk) {
-      std::vector<std::uint8_t> wire;
-      const std::uint64_t last = std::min(count, first + kChunk - 1);
-      for (std::uint64_t id = first; id <= last; ++id) {
-        encode(wire, request(id));
-      }
-      conn.ingest(wire.data(), wire.size());
-      ASSERT_EQ(conn.pending_count(), last);
-      while (blocks.size() < last) {
-        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-        for (runtime::RequestBlock* b = loop_.completions->drain();
-             b != nullptr;) {
-          runtime::RequestBlock* next = b->next;
-          b->next = nullptr;
-          blocks.push_back(b);
-          b = next;
+// Head-of-line order with failures interleaved: a deep pipeline (4096
+// requests, arriving in uneven chunks so frames straddle ingest calls)
+// mixes requests that are scored with ones answered at once — unknown
+// model, wrong dim, format mismatch, NaN payload — and every response
+// still comes back in request order with its own status.
+TEST_F(ConnTest, PipelineMixedWithImmediateFailuresStaysInRequestOrder) {
+  constexpr std::uint64_t kCount = 4096;
+  const auto expected_status = [](std::uint64_t id) {
+    switch (id % 7) {
+      case 1: return ResponseStatus::kUnknownModel;
+      case 3: return ResponseStatus::kInvalidRequest;
+      case 5: return ResponseStatus::kFormatMismatch;
+      default: return id % 11 == 0 ? ResponseStatus::kInvalidRequest
+                                   : ResponseStatus::kOk;
+    }
+  };
+  std::vector<std::uint8_t> wire;
+  for (std::uint64_t id = 1; id <= kCount; ++id) {
+    ScoreRequest r = request(id);
+    switch (id % 7) {
+      case 1: r.model = "no-such-model"; break;
+      case 3:
+        r.dim = kDim + 1;
+        r.features.push_back(0.0);
+        break;
+      case 5:
+        r.expected_integer_bits = 7;
+        r.expected_frac_bits = 1;
+        break;
+      default:
+        if (id % 11 == 0) {
+          r.features[1] = std::numeric_limits<double>::quiet_NaN();
         }
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
     }
-
-    // Deliver in reverse: the tail request's completion lands first.
-    for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
-      conn.on_completion(*it);
-    }
-    while (conn.pending_count() > 0) ASSERT_TRUE(conn.pump());
-
-    const auto got = responses(conn);
-    ASSERT_EQ(got.size(), count);
-    for (std::uint64_t id = 1; id <= count; ++id) {
-      EXPECT_EQ(got[id - 1].request_id, id);
-      EXPECT_EQ(got[id - 1].status, ResponseStatus::kOk);
+    encode(wire, r);
+  }
+  Connection conn(-1, &context_, &loop_);
+  support::Rng rng(23);
+  std::vector<ScoreResponse> got;
+  for (std::size_t at = 0; at < wire.size();) {
+    const std::size_t n = std::min<std::size_t>(
+        wire.size() - at, 1 + static_cast<std::size_t>(
+                                  rng.uniform_int(0, 4095)));
+    conn.ingest(wire.data() + at, n);
+    at += n;
+    for (ScoreResponse& r : responses(conn)) got.push_back(std::move(r));
+  }
+  ASSERT_EQ(got.size(), kCount);
+  std::uint64_t ok = 0;
+  for (std::uint64_t id = 1; id <= kCount; ++id) {
+    ASSERT_EQ(got[id - 1].request_id, id);
+    EXPECT_EQ(got[id - 1].status, expected_status(id)) << "id " << id;
+    if (got[id - 1].status == ResponseStatus::kOk) {
+      ++ok;
+      EXPECT_EQ(got[id - 1].results.size(), 1u);
     }
   }
+  EXPECT_EQ(metrics_.accepted.load(), ok);
+  EXPECT_EQ(metrics_.responses_sent.load(), kCount);
+  EXPECT_FALSE(conn.dead());
+}
+
+// Loop fairness at the socket shim: one readiness event reads one
+// 64 KiB chunk, however much the peer has queued, so a pipelining client
+// cannot hold its loop; the rest is served on later events, in order.
+TEST_F(ConnTest, OnReadableReadsOneChunkPerReadinessEvent) {
+  constexpr std::size_t kChunk = 64u * 1024;  // conn.cpp's read chunk
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
+  std::vector<std::uint8_t> frame;
+  encode(frame, request(1));
+  const std::size_t frame_size = frame.size();
+  std::vector<std::uint8_t> wire;
+  std::uint64_t count = 0;
+  while (wire.size() < 8 * kChunk) encode(wire, request(++count));
+  std::size_t written = 0;
+  const auto send_more = [&] {
+    while (written < wire.size()) {
+      const ssize_t n = ::send(fds[1], wire.data() + written,
+                               wire.size() - written, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      written += static_cast<std::size_t>(n);
+    }
+  };
+  send_more();
+  ASSERT_GT(written, 2 * kChunk);  // more queued than one chunk holds
+
+  Connection conn(fds[0], &context_, &loop_);
+  conn.on_readable();
+  std::vector<ScoreResponse> got = responses(conn);
+  EXPECT_GT(got.size(), 0u);
+  EXPECT_LE(got.size(), kChunk / frame_size);
+  while (got.size() < count && !conn.dead()) {
+    conn.on_readable();
+    for (ScoreResponse& r : responses(conn)) got.push_back(std::move(r));
+    send_more();
+  }
+  ASSERT_EQ(got.size(), count);
+  for (std::uint64_t id = 1; id <= count; ++id) {
+    EXPECT_EQ(got[id - 1].request_id, id);
+  }
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 // A NaN feature is caught at ingest (pack_from_f64_le refuses it) and
@@ -350,7 +376,6 @@ TEST_F(ConnTest, NaNFeatureAnswersInvalidRequestAndKeepsTheStream) {
   encode(wire, poisoned);
   encode(wire, request(2));
   conn.ingest(wire.data(), wire.size());
-  drain(conn);
   const auto got = responses(conn);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].request_id, 1u);
@@ -361,29 +386,89 @@ TEST_F(ConnTest, NaNFeatureAnswersInvalidRequestAndKeepsTheStream) {
   EXPECT_EQ(metrics_.rejected(ResponseStatus::kInvalidRequest).load(), 1u);
 }
 
-// Steady state allocates nothing: after the first round trip the block
-// comes from (and returns to) the loop's freelist, so the live-block
-// count stays flat across subsequent requests.
-TEST_F(ConnTest, SteadyStateRecyclesBlocksThroughThePool) {
+// The stage histograms telescope: decoded -> packed -> scored ->
+// encoded are adjacent stamps, so the pack, score and encode means sum
+// to the serve_latency mean.  Each record rounds to a whole nanosecond,
+// which bounds the gap; failures (packed = scored) are included.
+TEST_F(ConnTest, ServeStageMeansSumToServeLatencyMean) {
   Connection conn(-1, &context_, &loop_);
   std::vector<std::uint8_t> wire;
-  encode(wire, request(1));
-  conn.ingest(wire.data(), wire.size());
-  drain(conn);
-  (void)responses(conn);
-  ASSERT_EQ(loop_.pool.free_count(), 1u);
-  const std::int64_t live_after_warmup = runtime::RequestBlock::live();
-
-  for (std::uint64_t id = 2; id <= 20; ++id) {
-    std::vector<std::uint8_t> next;
-    encode(next, request(id));
-    conn.ingest(next.data(), next.size());
-    drain(conn);
-    (void)responses(conn);
-    EXPECT_EQ(loop_.pool.free_count(), 1u);
-    EXPECT_EQ(runtime::RequestBlock::live(), live_after_warmup);
+  for (std::uint64_t id = 1; id <= 300; ++id) {
+    ScoreRequest r = request(id);
+    if (id % 10 == 0) r.model = "no-such-model";
+    encode(wire, r);
   }
+  conn.ingest(wire.data(), wire.size());
+  ASSERT_EQ(responses(conn).size(), 300u);
+
+  const obs::MetricsSnapshot snap = metrics_.registry().snapshot();
+  const auto mean_of = [&](const char* stage) {
+    const auto* h =
+        snap.find_histogram("net.serve_stage", {{"stage", stage}});
+    EXPECT_NE(h, nullptr) << stage;
+    if (h == nullptr) return 0.0;
+    EXPECT_EQ(h->hist.total_count, 300u) << stage;
+    return h->hist.mean();
+  };
+  const double staged =
+      mean_of("pack") + mean_of("score") + mean_of("encode");
+  const auto* total = snap.find_histogram("net.serve_latency");
+  ASSERT_NE(total, nullptr);
+  EXPECT_EQ(total->hist.total_count, 300u);
+  EXPECT_GT(total->hist.mean(), 0.0);
+  EXPECT_NEAR(staged, total->hist.mean(), 3e-9);
+  EXPECT_GT(mean_of("score"), 0.0);
+}
+
+// Steady state allocates nothing: once the read, write, packed-batch and
+// result buffers have grown to the working size, requests through
+// Connection::ingest — scored or failed, whole or split across reads —
+// never touch the heap.  Counted by this test binary's global operator
+// new (below), so it runs in every build, the Debug allocation-counter
+// CI leg included.
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+class ConnAllocCountTest : public ConnTest {};
+
+TEST_F(ConnAllocCountTest, SteadyStateIngestAllocatesNothing) {
+  Connection conn(-1, &context_, &loop_);
+  std::vector<std::uint8_t> wire;
+  for (std::uint64_t id = 1; id <= 64; ++id) {
+    ScoreRequest r = request(id);
+    if (id % 8 == 0) r.model = "no-such-model";
+    encode(wire, r);
+  }
+  // Uneven reads so frames straddle ingest calls.
+  const auto feed = [&] {
+    for (std::size_t at = 0; at < wire.size(); at += 333) {
+      conn.ingest(wire.data() + at,
+                  std::min<std::size_t>(333, wire.size() - at));
+      conn.consume_output(conn.unflushed_bytes());
+    }
+  };
+  feed();  // warm-up: buffers grow to the working size
+  const std::uint64_t accepted = metrics_.accepted.load();
+  const std::uint64_t before = g_heap_allocs.load();
+  for (int round = 0; round < 20; ++round) feed();
+  EXPECT_EQ(g_heap_allocs.load() - before, 0u);
+  EXPECT_EQ(metrics_.accepted.load() - accepted, 20u * 56u);
+  EXPECT_FALSE(conn.dead());
 }
 
 }  // namespace
 }  // namespace ldafp::net
+
+// Counting replacements of the global allocation functions.  The array
+// forms' defaults route through these; the aligned forms keep their own
+// matching defaults (nothing on the serve path over-aligns).  Not
+// inlined: gcc would otherwise pair its builtin operator new with the
+// inlined free() and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ldafp::net::g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}

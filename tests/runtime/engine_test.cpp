@@ -132,66 +132,33 @@ TEST(InferenceEngineTest, QueueFullReturnsDocumentedRejectionStatus) {
   support::Rng rng(3);
   ModelRegistry registry;
   const auto model = registry.install("m", random_classifier(4, rng));
-  // Parked workers: admission (and backpressure) is live, scoring is not,
-  // so filling the queue is deterministic.
+  // The lone worker is busy scoring one oversized request (milliseconds
+  // of work) while single-sample submissions arrive microseconds apart,
+  // so the three-slot queue fills.
   InferenceEngine engine({.workers = 1, .queue_capacity = 3});
-  engine.pause();
+  auto big = engine.submit(model, random_samples(100000, 4, rng));
+  ASSERT_EQ(big.status, SubmitStatus::kAccepted);
   const Vector x{0.5, -0.5, 1.0, 0.0};
   std::vector<Submission> held;
-  for (int i = 0; i < 3; ++i) {
-    auto sub = engine.submit(model, x);
-    ASSERT_EQ(sub.status, SubmitStatus::kAccepted);
-    held.push_back(std::move(sub));
+  Submission overflow;
+  for (int i = 0; i < 1000; ++i) {
+    overflow = engine.submit(model, x);
+    if (overflow.status != SubmitStatus::kAccepted) break;
+    held.push_back(std::move(overflow));
   }
-  auto overflow = engine.submit(model, x);
   EXPECT_EQ(overflow.status, SubmitStatus::kQueueFull);
   EXPECT_FALSE(overflow.result.valid());
   EXPECT_EQ(engine.stats().requests_rejected.load(), 1u);
   EXPECT_EQ(engine.stats().queue_depth_high_water.load(), 3u);
-  // The live depth/capacity gauges expose the kQueueFull signature
-  // (depth pinned at capacity while the rejected counter climbs).
-  EXPECT_DOUBLE_EQ(engine.stats().queue_depth.load(), 3.0);
   EXPECT_DOUBLE_EQ(engine.stats().queue_capacity.load(), 3.0);
 
-  // Resuming drains the backlog and fulfills every admitted promise.
-  engine.resume();
+  // The backlog drains and fulfills every admitted promise.
+  EXPECT_EQ(big.result.get().size(), 100000u);
   for (auto& sub : held) {
     const auto results = sub.result.get();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].label, model->classifier.classify(x));
   }
-}
-
-// pause() on a running engine parks workers that are already blocked
-// waiting for work: nothing admitted after it returns is scored until
-// resume(), so a burst fills the queue deterministically.
-TEST(InferenceEngineTest, PauseParksLiveWorkers) {
-  support::Rng rng(4);
-  ModelRegistry registry;
-  const auto model = registry.install("m", random_classifier(4, rng));
-  InferenceEngine engine({.workers = 2, .queue_capacity = 4});
-  const Vector x{0.5, -0.5, 1.0, 0.0};
-  ASSERT_EQ(engine.submit(model, x).result.get().size(), 1u);  // live
-  engine.pause();
-  std::vector<Submission> held;
-  for (int i = 0; i < 4; ++i) {
-    auto sub = engine.submit(model, x);
-    ASSERT_EQ(sub.status, SubmitStatus::kAccepted);
-    held.push_back(std::move(sub));
-  }
-  EXPECT_EQ(engine.submit(model, x).status, SubmitStatus::kQueueFull);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(engine.queue_depth(), 4u);
-  EXPECT_EQ(held.front().result.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout);
-
-  engine.resume();
-  for (auto& sub : held) {
-    const auto results = sub.result.get();
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].label, model->classifier.classify(x));
-  }
-  EXPECT_EQ(engine.stats().requests_completed.load(), 5u);
 }
 
 TEST(InferenceEngineTest, ShutdownDrainsInFlightRequests) {
@@ -200,10 +167,9 @@ TEST(InferenceEngineTest, ShutdownDrainsInFlightRequests) {
   const auto model = registry.install("m", random_classifier(6, rng));
   std::vector<std::future<std::vector<ScoreResult>>> futures;
   {
-    // Parked engine: everything we admit is still queued when shutdown
-    // begins, so the drain path itself must fulfill the promises.
+    // shutdown() right behind the submissions: whatever is still
+    // queued when it begins, the drain itself must fulfill.
     InferenceEngine engine({.workers = 2, .queue_capacity = 64});
-    engine.pause();
     const auto xs = random_samples(32, 6, rng);
     for (const Vector& x : xs) {
       auto sub = engine.submit(model, x);
@@ -219,6 +185,60 @@ TEST(InferenceEngineTest, ShutdownDrainsInFlightRequests) {
     const auto results = f.get();  // would throw broken_promise if dropped
     EXPECT_EQ(results.size(), 1u);
   }
+}
+
+// The serve path's synchronous call: bit-identical to the adapter (and
+// to FixedClassifier), recording the series a one-request worker batch
+// records, with submit's checks and shutdown answer.
+TEST(InferenceEngineTest, SynchronousScoreMatchesClassifierAndRecordsStats) {
+  support::Rng rng(6);
+  ModelRegistry registry;
+  const auto model = registry.install("m", random_classifier(8, rng));
+  obs::MetricsRegistry metrics;
+  obs::Sink sink{&metrics, nullptr};
+  InferenceEngine engine({.workers = 1, .max_batch = 16, .sink = &sink});
+  const auto xs = random_samples(10, 8, rng);
+  const PackedBatch batch = model->scorer.pack(xs);
+  std::vector<ScoreResult> results;
+  ASSERT_EQ(engine.score(model, batch, results), SubmitStatus::kAccepted);
+  ASSERT_EQ(results.size(), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_EQ(results[i].label, model->classifier.classify(xs[i]));
+    EXPECT_EQ(results[i].projection_raw,
+              model->classifier.project_raw(xs[i]));
+  }
+
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter_value("runtime.requests_submitted"), 1u);
+  EXPECT_EQ(snap.counter_value("runtime.requests_completed"), 1u);
+  EXPECT_EQ(snap.counter_value("runtime.batches_scored"), 1u);
+  EXPECT_EQ(snap.counter_value("runtime.samples_scored"), 10u);
+  for (const char* name : {"runtime.queue_wait", "runtime.batch_execute",
+                           "runtime.request_total",
+                           "runtime.batch_occupancy"}) {
+    const auto* h = snap.find_histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->hist.total_count, 1u) << name;
+  }
+  EXPECT_DOUBLE_EQ(
+      snap.find_histogram("runtime.batch_occupancy")->hist.mean(),
+      10.0 / 16.0);
+
+  // submit's shape checks, then the shutdown answer; neither touches
+  // the caller's buffer.
+  const auto other = registry.install("n", random_classifier(4, rng));
+  EXPECT_EQ(engine.score(nullptr, batch, results),
+            SubmitStatus::kInvalidRequest);
+  EXPECT_EQ(engine.score(other, batch, results),
+            SubmitStatus::kInvalidRequest);
+  EXPECT_EQ(engine.score(model, PackedBatch{}, results),
+            SubmitStatus::kInvalidRequest);
+  engine.shutdown();
+  EXPECT_EQ(engine.score(model, batch, results),
+            SubmitStatus::kShuttingDown);
+  EXPECT_EQ(results.size(), xs.size());
+  EXPECT_EQ(metrics.snapshot().counter_value("runtime.requests_submitted"),
+            1u);
 }
 
 TEST(InferenceEngineTest, RejectsInvalidRequests) {

@@ -57,33 +57,6 @@ TEST(BoundedQueueTest, PopWaitUntilTimesOutWhenEmpty) {
 // A consumer already blocked in pop() when pause() lands must not take
 // the next item: the hold is checked where the item is dequeued, not
 // before the consumer starts waiting.
-TEST(BoundedQueueTest, PauseHoldsBlockedConsumers) {
-  BoundedQueue<int> q(4);
-  std::atomic<int> taken{0};
-  std::thread consumer([&] {
-    int out = 0;
-    while (q.pop(out)) taken.fetch_add(1);
-  });
-  std::this_thread::sleep_for(5ms);  // consumer is parked inside pop()
-  q.pause();
-  ASSERT_EQ(q.try_push(1), PushResult::kOk);
-  ASSERT_EQ(q.try_push(2), PushResult::kOk);  // admission stays live
-  int out = 0;
-  EXPECT_EQ(q.pop_wait_until(out, std::chrono::steady_clock::now() + 5ms),
-            PopResult::kTimeout);
-  std::this_thread::sleep_for(20ms);
-  EXPECT_EQ(taken.load(), 0);
-  EXPECT_EQ(q.size(), 2u);
-  q.resume();
-  while (q.size() > 0) std::this_thread::sleep_for(1ms);
-  // close() lifts a pause: a paused queue still drains on shutdown.
-  q.pause();
-  ASSERT_EQ(q.try_push(3), PushResult::kOk);
-  q.close();
-  consumer.join();
-  EXPECT_EQ(taken.load(), 3);
-}
-
 TEST(BoundedQueueTest, TracksHighWaterMark) {
   BoundedQueue<int> q(8);
   EXPECT_EQ(q.high_water_mark(), 0u);
