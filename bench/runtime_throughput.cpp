@@ -1,9 +1,9 @@
 // Serving throughput: SIMD kernels vs the scalar Datapath::dot
-// fallback, single-thread batched scoring, and the pooled engine.
+// fallback, and batched scoring against the per-sample loop.
 //
 //   $ ./runtime_throughput [--smoke] [--out FILE] [samples]
 //
-// Three sections over a BCI-shaped fixed-point model (42 features,
+// Two sections over a BCI-shaped fixed-point model (42 features,
 // Q2.6):
 //
 //  1. Kernel: the same PackedBatch is scored with the kernel backend
@@ -18,13 +18,9 @@
 //  2. Single-thread BatchScorer at request batch sizes 1/8/64 against
 //     the sequential classify() loop.
 //
-//  3. Pooled InferenceEngine at the same batch sizes.  On a multi-core
-//     machine the pool should clear 3x sequential at batch 64; on a
-//     single core it pays queue/promise overhead with no parallelism to
-//     earn it back, and the printed core count says so.
-//
-// `--out FILE` writes the results as JSON (see README for the schema);
-// without it nothing is written.
+// `--out FILE` writes the results as JSON with the bench::write_host_header
+// "host" object (see README for the schema); without it nothing is
+// written.
 // `--smoke` shrinks the sample count and skips the 4x gate (identity is
 // still asserted); CI runs the smoke mode on every push.
 #include <cstdio>
@@ -32,14 +28,12 @@
 #include <cstring>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "report.h"
 #include "core/classifier.h"
 #include "fixed/simd.h"
-#include "obs/export.h"
-#include "runtime/runtime.h"
+#include "runtime/batch_scorer.h"
 #include "support/json.h"
 #include "support/rng.h"
 #include "support/table.h"
@@ -131,8 +125,6 @@ int main(int argc, char** argv) {
                                     ? static_cast<std::size_t>(requested)
                                     : (smoke ? 20000 : 100000);
   const double min_measure_seconds = smoke ? 0.05 : 0.3;
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers = std::max<std::size_t>(2, cores);
   const simd::Backend best = simd::active_backend();
 
   support::Rng rng(4242);
@@ -140,15 +132,16 @@ int main(int argc, char** argv) {
       make_bci_shaped_model(rng, fixed::AccumulatorMode::kWide);
   const auto traffic = make_traffic(n_samples, clf.dim(), rng);
   std::printf("runtime_throughput: %zu samples x %zu features, format %s, "
-              "simd backend %s, %u hardware cores, %zu engine workers\n\n",
+              "simd backend %s\n\n",
               traffic.size(), clf.dim(), clf.format().to_string().c_str(),
-              simd::to_string(best), cores, workers);
+              simd::to_string(best));
 
   std::ostringstream report;
   support::JsonWriter json(report);
   json.begin_object();
   json.kv("bench", "runtime_throughput");
   json.kv("smoke", smoke);
+  bench::write_host_header(json);
   json.kv("samples", static_cast<std::uint64_t>(traffic.size()));
   json.kv("dim", static_cast<std::uint64_t>(clf.dim()));
   json.kv("format", clf.format().to_string());
@@ -217,7 +210,7 @@ int main(int argc, char** argv) {
   json.end_array();
   std::printf("%s\n", kernel_table.to_string().c_str());
 
-  // ---- Section 2 + 3: end-to-end paths --------------------------------
+  // ---- Section 2: end-to-end paths --------------------------------
   // Sequential reference: one classify() per sample on one thread.
   std::vector<core::Label> reference;
   reference.reserve(traffic.size());
@@ -272,79 +265,9 @@ int main(int argc, char** argv) {
     json.end_object();
   }
 
-  // Pooled engine: one producer thread per worker submits its shard as
-  // requests of `batch_size` samples.
-  runtime::ModelRegistry registry;
-  const runtime::ModelHandle model = registry.install("bci-shaped", clf);
-  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{8},
-                                       std::size_t{64}}) {
-    runtime::InferenceEngine engine(
-        {.workers = workers, .queue_capacity = 4096, .max_batch = 256,
-         .max_wait_seconds = 100e-6});
-    std::vector<core::Label> labels(traffic.size());
-    std::vector<std::thread> producers;
-    const std::size_t shard =
-        (traffic.size() + workers - 1) / workers;
-    support::WallTimer timer;
-    for (std::size_t p = 0; p < workers; ++p) {
-      producers.emplace_back([&, p] {
-        const std::size_t begin = p * shard;
-        const std::size_t end = std::min(begin + shard, traffic.size());
-        std::vector<std::pair<std::size_t,
-                              std::future<std::vector<runtime::ScoreResult>>>>
-            pending;
-        for (std::size_t i = begin; i < end; i += batch_size) {
-          const std::size_t n = std::min(batch_size, end - i);
-          std::vector<linalg::Vector> request(traffic.begin() + i,
-                                              traffic.begin() + i + n);
-          while (true) {
-            auto sub = engine.submit(model, std::move(request));
-            if (sub.status == runtime::SubmitStatus::kAccepted) {
-              pending.emplace_back(i, std::move(sub.result));
-              break;
-            }
-            // Queue full: the submit consumed the request vector, so
-            // re-slice it before retrying.
-            request.assign(traffic.begin() + i, traffic.begin() + i + n);
-            std::this_thread::yield();
-          }
-        }
-        for (auto& [offset, future] : pending) {
-          const auto results = future.get();
-          for (std::size_t r = 0; r < results.size(); ++r) {
-            labels[offset + r] = results[r].label;
-          }
-        }
-      });
-    }
-    for (auto& t : producers) t.join();
-    const double rate =
-        static_cast<double>(traffic.size()) / timer.seconds();
-    const bool exact = labels == reference;
-    all_bit_exact = all_bit_exact && exact;
-    char path[64];
-    std::snprintf(path, sizeof(path), "engine (%zu workers)", workers);
-    table.add_row({path, std::to_string(batch_size), rate_str(rate),
-                   speedup_str(rate / seq_rate),
-                   exact ? "yes" : "NO"});
-    json.begin_object();
-    json.kv("path", "engine");
-    json.kv("batch", static_cast<std::uint64_t>(batch_size));
-    json.kv("samples_per_sec", rate);
-    json.kv("speedup", rate / seq_rate);
-    json.kv("bit_exact", exact);
-    json.end_object();
-    if (batch_size == 64) {
-      engine.shutdown();
-      std::printf("engine stats at batch 64:\n%s\n",
-                  obs::to_table(engine.stats().snapshot()).c_str());
-    }
-  }
   json.end_array();
 
   std::printf("%s\n", table.to_string().c_str());
-  std::printf("note: engine speedup needs cores; this host has %u.\n",
-              cores);
 
   json.kv("wide_simd_speedup", wide_simd_speedup);
   json.kv("all_bit_exact", all_bit_exact);

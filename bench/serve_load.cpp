@@ -28,6 +28,8 @@
 // accounting block.  Exit status is non-zero unless accounting is
 // exact: sent == ok + rejected, zero protocol errors, zero ordering or
 // label mismatches, and the burst answered in full.
+#include <poll.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -251,8 +253,10 @@ ClosedRuns run_closed_rounds(const std::string& host, std::uint16_t port,
   return out;
 }
 
-/// Open loop: sends are paced by the clock, independent of responses
-/// (which are drained opportunistically and by a final blocking sweep).
+/// Open loop: sends are paced by the clock, independent of responses.
+/// Between sends the connection polls its socket until the next send
+/// slot, so each response is read and timestamped when it arrives and
+/// the phase's latency measures the server, not the pacing interval.
 Tally run_open_loop(const std::string& host, std::uint16_t port,
                     const std::vector<ModelUnderTest>& models,
                     const Options& opts, obs::Histogram& latency) {
@@ -277,10 +281,20 @@ Tally run_open_loop(const std::string& host, std::uint16_t port,
         inflight.pop_front();
       };
       auto next_send = clock::now();
+      net::ScoreResponse response;
       for (std::size_t k = 0; k < opts.open_requests_per_conn; ++k) {
-        net::ScoreResponse response;
-        while (client.try_recv(response)) handle_response(response);
-        std::this_thread::sleep_until(next_send);
+        while (true) {
+          while (client.try_recv(response)) handle_response(response);
+          const auto wait = next_send - clock::now();
+          if (wait <= clock::duration::zero()) break;
+          const auto ns =
+              std::chrono::duration_cast<std::chrono::nanoseconds>(wait)
+                  .count();
+          const timespec timeout{static_cast<time_t>(ns / 1'000'000'000),
+                                 static_cast<long>(ns % 1'000'000'000)};
+          pollfd readable{client.fd(), POLLIN, 0};
+          ::ppoll(&readable, 1, &timeout, nullptr);
+        }
         next_send += interval;
         client.send(make_request(model, k + 1, k));
         inflight.emplace_back(k + 1, support::WallTimer());
@@ -400,12 +414,8 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry server_metrics;
   obs::Sink server_sink;
   server_sink.metrics = &server_metrics;
-  // The loops score through the engine's synchronous call; its worker
-  // pool serves only the future adapter, which this bench never uses.
-  runtime::EngineOptions engine_options;
-  engine_options.workers = 1;
-  engine_options.sink = &server_sink;
-  runtime::InferenceEngine engine(engine_options);
+  // The loops score through the engine's synchronous call.
+  runtime::InferenceEngine engine({.sink = &server_sink});
 
   net::ServerOptions server_options;
   server_options.port = 0;  // ephemeral
@@ -553,17 +563,6 @@ int main(int argc, char** argv) {
   }
   json.kv("total", mean_us("net.serve_latency", nullptr));
   json.end_object();
-  // Occupancy of each scored request (fraction of max_batch filled) —
-  // the CI smoke step exports this block.
-  {
-    const auto occupancy = engine.stats().batch_occupancy.snapshot();
-    json.key("batch_occupancy");
-    json.begin_object();
-    json.kv("samples", occupancy.total_count);
-    json.kv("p50", occupancy.quantile(0.5));
-    json.kv("p90", occupancy.quantile(0.9));
-    json.end_object();
-  }
   json.key("client_metrics");
   obs::write_json(json, client_metrics.snapshot());
   json.key("server_metrics");

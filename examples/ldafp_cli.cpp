@@ -643,12 +643,8 @@ int cmd_serve(int argc, char** argv) {
                 store_dir != nullptr ? store_dir : "");
   }
 
-  // The event loops score through the engine's synchronous call, so
-  // one worker (for the unused future adapter) is all it needs.
-  runtime::EngineOptions engine_options;
-  engine_options.workers = 1;
-  engine_options.sink = &sink;
-  runtime::InferenceEngine engine(engine_options);
+  // The event loops score through the engine's synchronous call.
+  runtime::InferenceEngine engine({.sink = &sink});
 
   net::ServerOptions server_options;
   server_options.port = port;

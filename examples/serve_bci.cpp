@@ -5,13 +5,16 @@
 //
 // Pipeline: generate the synthetic ECoG stand-in (42 features) ->
 // train a conventional 6-bit fixed-point decoder -> export its bits as
-// a weight-ROM snapshot -> install it in a ModelRegistry -> push
-// concurrent trial traffic from several producer threads through the
-// batched InferenceEngine.  Mid-run the example installs an 8-bit
-// retrain under the same name; traffic picks up the new version at the
-// next registry resolve while in-flight requests finish on the old
-// bits.  Finishes by printing the engine's telemetry block and the
-// served error rates per model version.
+// a weight-ROM snapshot -> install it in a ModelRegistry -> score
+// concurrent trial traffic from several producer threads, each packing
+// into its own PackedBatch and calling the synchronous InferenceEngine.
+// Mid-run the example installs an 8-bit retrain under the same name;
+// traffic picks up the new version at the next registry resolve while
+// requests already holding the old handle finish on the old bits.
+// Every served label is checked against FixedClassifier::classify on
+// the snapshot that scored it (exit 1 on a mismatch).  Finishes by
+// printing the engine's telemetry block and the served error rates per
+// model version.
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -73,22 +76,24 @@ int main() {
 
   // 3. Engine + concurrent producers.  Each producer replays scaled
   //    trials and tallies decode errors against the trial labels, per
-  //    model version it actually hit.
-  runtime::InferenceEngine engine({.workers = 4, .queue_capacity = 256,
-                                   .max_batch = 32,
-                                   .max_wait_seconds = 200e-6});
+  //    model version it actually hit, until it has served
+  //    kTrialsPerProducer trials on the retrained v2.
+  runtime::InferenceEngine engine;
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kTrialsPerProducer = 2000;
   std::atomic<std::uint64_t> errors_v1{0}, served_v1{0};
   std::atomic<std::uint64_t> errors_v2{0}, served_v2{0};
-  std::atomic<std::uint64_t> shed{0};
+  std::atomic<std::uint64_t> mismatches{0};
   const double scales[2] = {scale6, scale8};
 
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       support::Rng traffic_rng(1000 + p);
-      for (std::size_t i = 0; i < kTrialsPerProducer; ++i) {
+      runtime::PackedBatch batch;
+      std::vector<runtime::ScoreResult> results;
+      for (std::size_t served_here_v2 = 0;
+           served_here_v2 < kTrialsPerProducer;) {
         const std::size_t trial = static_cast<std::size_t>(
             traffic_rng.uniform_int(0,
                                     static_cast<std::int64_t>(
@@ -99,26 +104,33 @@ int main() {
         const double scale = scales[model->version - 1];
         linalg::Vector x = dataset.samples[trial];
         x *= scale;  // the decoder's preprocessing (power-of-two shift)
-        auto sub = engine.submit(model, std::move(x));
-        if (sub.status != runtime::SubmitStatus::kAccepted) {
-          shed.fetch_add(1);  // backpressure: drop this trial
-          continue;
+        batch.clear();
+        model->scorer.pack_into(batch, &x, 1);
+        if (engine.score(model, batch, results) !=
+                runtime::SubmitStatus::kAccepted ||
+            results[0].label != model->classifier.classify(x) ||
+            results[0].projection_raw != model->classifier.project_raw(x)) {
+          mismatches.fetch_add(1);
+          return;
         }
-        const auto results = sub.result.get();
         const bool wrong = results[0].label != dataset.labels[trial];
         if (model->version == 1) {
           served_v1.fetch_add(1);
           if (wrong) errors_v1.fetch_add(1);
         } else {
           served_v2.fetch_add(1);
+          ++served_here_v2;
           if (wrong) errors_v2.fetch_add(1);
         }
       }
     });
   }
 
-  // 4. Hot swap: once traffic is flowing, publish the 8-bit retrain.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // 4. Hot swap: once v1 has served kTrialsPerProducer trials, publish
+  //    the 8-bit retrain under the producers' feet.
+  while (served_v1.load() < kTrialsPerProducer && mismatches.load() == 0) {
+    std::this_thread::yield();
+  }
   registry.install("bci-movement", decoder8);
   std::printf("hot-swapped bci-movement to v2 (%s) under load\n",
               decoder8.format().to_string().c_str());
@@ -140,8 +152,8 @@ int main() {
                 100.0 * static_cast<double>(errors_v2.load()) /
                     static_cast<double>(served_v2.load()));
   }
-  std::printf("  shed by backpressure: %llu\n\n",
-              static_cast<unsigned long long>(shed.load()));
+  std::printf("  bit-identical to per-sample classify: %s\n\n",
+              mismatches.load() == 0 ? "yes" : "NO");
   std::printf("%s\n", obs::to_table(engine.stats().snapshot()).c_str());
   for (const auto& info : registry.list()) {
     std::printf("registry: %s latest v%llu (%zu versions, %zu features, "
@@ -150,5 +162,5 @@ int main() {
                 static_cast<unsigned long long>(info.latest_version),
                 info.version_count, info.dim, info.format.c_str());
   }
-  return 0;
+  return mismatches.load() == 0 ? 0 : 1;
 }

@@ -53,8 +53,6 @@ class DriftDetector {
   /// starts a fresh comparison).
   void set_reference(std::vector<double> scores);
 
-  bool has_reference() const { return !reference_.empty(); }
-
   /// Streams one live serving score.
   void observe(double score);
 

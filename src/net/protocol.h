@@ -60,7 +60,8 @@ enum class MessageType : std::uint8_t {
 /// Per-request (and terminal) outcome codes carried in responses.
 enum class ResponseStatus : std::uint8_t {
   kOk = 0,
-  kRejected = 1,       ///< engine backpressure (queue full) — retry later
+  kRejected = 1,       ///< overload — retry later (the run-to-completion
+                       ///< server never sends it; kept on the wire)
   kUnknownModel = 2,   ///< no such model in the registry
   kInvalidRequest = 3, ///< zero samples or dimension mismatch
   kFormatMismatch = 4, ///< expected FixedFormat tag != served model's

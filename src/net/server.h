@@ -5,7 +5,9 @@
 // owning a disjoint set of connections (accepted round-robin, handed
 // over through an eventfd-signalled inbox), so connection state is
 // single-threaded by construction — the only cross-thread traffic is
-// the thread-safe engine/registry/metrics trio every loop shares.
+// the thread-safe engine/registry/metrics trio every loop shares.  The
+// engine starts no thread of its own, so a serving process runs the
+// loops and nothing else.
 // Run to completion: a loop scores each request inside the wakeup that
 // read it (Connection::ingest → InferenceEngine::score) and flushes the
 // response before it sleeps again, so it blocks in epoll_wait with

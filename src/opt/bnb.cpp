@@ -11,7 +11,6 @@
 
 #include "sched/task_group.h"
 #include "support/error.h"
-#include "support/log.h"
 #include "support/str.h"
 #include "support/timer.h"
 

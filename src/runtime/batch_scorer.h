@@ -16,8 +16,8 @@
 // tests/runtime/simd_identity_test.cpp hold the cross-checks.
 //
 // Const methods are thread-safe: a scorer is immutable after
-// construction, which is what lets the serving engine share one
-// snapshot across its worker pool without locks.
+// construction, which is what lets every serving loop share one
+// snapshot without locks.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +67,6 @@ struct PackedBatch {
   /// restriping, no re-quantization), latching dim from `src` when this
   /// batch is empty.  Throws InvalidArgumentError on a dim mismatch,
   /// leaving this batch unchanged.
-  /// The engine uses this to merge per-request batches packed at ingest
-  /// into one contiguous scoring batch.
   void append_packed(const PackedBatch& src);
 };
 

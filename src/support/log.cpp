@@ -1,39 +1,11 @@
 #include "support/log.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace ldafp::support {
-namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-const char* level_tag(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO ";
-    case LogLevel::kWarn: return "WARN ";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF  ";
-  }
-  return "?";
+void log_warn(const std::string& message) {
+  std::fprintf(stderr, "[WARN ] %s\n", message.c_str());
 }
-
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(level); }
-
-LogLevel log_level() { return g_level.load(); }
-
-void log(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_level.load())) return;
-  if (level == LogLevel::kOff) return;
-  std::fprintf(stderr, "[%s] %s\n", level_tag(level), message.c_str());
-}
-
-void log_debug(const std::string& message) { log(LogLevel::kDebug, message); }
-void log_info(const std::string& message) { log(LogLevel::kInfo, message); }
-void log_warn(const std::string& message) { log(LogLevel::kWarn, message); }
-void log_error(const std::string& message) { log(LogLevel::kError, message); }
 
 }  // namespace ldafp::support

@@ -1,30 +1,14 @@
-// Leveled logging for long-running solvers.
+// Warnings from long-running solvers.
 //
-// The branch-and-bound trainer can run for minutes; its progress reports go
-// through this logger so examples and benches can choose verbosity.
+// The branch-and-bound trainer reports recoverable trouble (a failed
+// warm start) through log_warn, one line on stderr.
 #pragma once
 
 #include <string>
 
 namespace ldafp::support {
 
-/// Log severity, ordered from most to least verbose.
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3,
-                      kOff = 4 };
-
-/// Sets the global minimum severity that is actually printed.
-void set_log_level(LogLevel level);
-
-/// Returns the current global minimum severity.
-LogLevel log_level();
-
-/// Writes one line to stderr when `level` >= the global level.
-void log(LogLevel level, const std::string& message);
-
-/// Convenience wrappers.
-void log_debug(const std::string& message);
-void log_info(const std::string& message);
+/// Writes "[WARN ] message" as one line to stderr.
 void log_warn(const std::string& message);
-void log_error(const std::string& message);
 
 }  // namespace ldafp::support

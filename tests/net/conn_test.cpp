@@ -83,7 +83,7 @@ class ConnTest : public ::testing::Test {
   static constexpr std::uint16_t kDim = 6;
   runtime::ModelRegistry registry_;
   runtime::ModelHandle model_;
-  runtime::InferenceEngine engine_{{.workers = 1}};
+  runtime::InferenceEngine engine_;
   NetMetrics metrics_;
   std::atomic<bool> draining_{false};
   ServeContext context_;

@@ -61,10 +61,7 @@ class ServerTest : public ::testing::Test {
     alpha_ = registry_.install("alpha", test_classifier(kDim, rng));
     beta_ = registry_.install("beta", test_classifier(kDim, rng));
     sink_.metrics = &metrics_;
-    runtime::EngineOptions engine_options;
-    engine_options.workers = 1;
-    engine_options.sink = &sink_;
-    engine_.emplace(engine_options);
+    engine_.emplace(runtime::EngineOptions{.sink = &sink_});
     ServerOptions options;
     options.port = 0;
     options.io_threads = io_threads;
@@ -353,7 +350,7 @@ TEST(ServerOptionsTest, ValidateCatchesMissingWiring) {
   ServerOptions options;
   EXPECT_FALSE(options.validate().ok());  // no engine/registry
   runtime::ModelRegistry registry;
-  runtime::InferenceEngine engine({.workers = 1});
+  runtime::InferenceEngine engine;
   options.engine = &engine;
   options.registry = &registry;
   EXPECT_TRUE(options.validate().ok());

@@ -3,15 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <future>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 #include <vector>
 
 #include "obs/export.h"
 #include "obs/sink.h"
 #include "runtime/registry.h"
-#include "support/error.h"
 #include "support/rng.h"
 
 namespace ldafp::runtime {
@@ -40,15 +39,23 @@ std::vector<Vector> random_samples(std::size_t n, std::size_t dim,
   return xs;
 }
 
+/// Packs `xs` into `batch` (cleared first) with `model`'s scorer.
+void pack(const ModelHandle& model, const std::vector<Vector>& xs,
+          PackedBatch& batch) {
+  batch.clear();
+  model->scorer.pack_into(batch, xs.data(), xs.size());
+}
+
 TEST(InferenceEngineTest, SingleRequestMatchesSequentialClassifier) {
   support::Rng rng(1);
   ModelRegistry registry;
   const auto model = registry.install("m", random_classifier(8, rng));
-  InferenceEngine engine({.workers = 2});
+  InferenceEngine engine;
   const auto xs = random_samples(10, 8, rng);
-  auto sub = engine.submit(model, xs);
-  ASSERT_EQ(sub.status, SubmitStatus::kAccepted);
-  const auto results = sub.result.get();
+  PackedBatch batch;
+  pack(model, xs, batch);
+  std::vector<ScoreResult> results;
+  ASSERT_EQ(engine.score(model, batch, results), SubmitStatus::kAccepted);
   ASSERT_EQ(results.size(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_EQ(results[i].label, model->classifier.classify(xs[i]));
@@ -57,23 +64,23 @@ TEST(InferenceEngineTest, SingleRequestMatchesSequentialClassifier) {
   }
 }
 
-// The headline determinism property: N producer threads pushing M
-// samples each through the pooled, micro-batching engine produce
-// bit-for-bit the labels and projection words of a sequential
-// FixedClassifier::classify loop over the same samples.
+// The headline determinism property: N threads, each packing into its
+// own PackedBatch and scoring through one shared engine (and one shared
+// stats block), produce bit-for-bit the labels and projection words of
+// a sequential FixedClassifier::classify loop over the same samples.
 TEST(InferenceEngineTest, ConcurrentTrafficIsBitExactAgainstSequential) {
   support::Rng rng(99);
   ModelRegistry registry;
   const auto model = registry.install("m", random_classifier(16, rng));
-  constexpr std::size_t kProducers = 4;
-  constexpr std::size_t kSamplesPerProducer = 300;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRequestsPerThread = 300;
 
-  // Pre-draw every producer's traffic and the sequential reference.
+  // Pre-draw every thread's traffic and the sequential reference.
   std::vector<std::vector<Vector>> traffic;
   std::vector<std::vector<core::Label>> expected_labels;
   std::vector<std::vector<std::int64_t>> expected_raw;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    traffic.push_back(random_samples(kSamplesPerProducer, 16, rng));
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    traffic.push_back(random_samples(kRequestsPerThread, 16, rng));
     std::vector<core::Label> labels;
     std::vector<std::int64_t> raws;
     for (const Vector& x : traffic.back()) {
@@ -84,119 +91,95 @@ TEST(InferenceEngineTest, ConcurrentTrafficIsBitExactAgainstSequential) {
     expected_raw.push_back(std::move(raws));
   }
 
-  InferenceEngine engine({.workers = 3, .queue_capacity = 64,
-                          .max_batch = 16, .max_wait_seconds = 200e-6});
-  std::vector<std::vector<std::future<std::vector<ScoreResult>>>> futures(
-      kProducers);
-  std::atomic<std::uint64_t> rejected{0};
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (const Vector& x : traffic[p]) {
-        // Backpressure: retry until admitted, counting rejections.
-        while (true) {
-          auto sub = engine.submit(model, x);
-          if (sub.status == SubmitStatus::kAccepted) {
-            futures[p].push_back(std::move(sub.result));
-            break;
-          }
-          ASSERT_EQ(sub.status, SubmitStatus::kQueueFull);
-          rejected.fetch_add(1);
-          std::this_thread::yield();
-        }
+  InferenceEngine engine;
+  std::vector<std::vector<ScoreResult>> served(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      PackedBatch batch;
+      std::vector<ScoreResult> results;
+      for (const Vector& x : traffic[t]) {
+        batch.clear();
+        model->scorer.pack_into(batch, &x, 1);
+        ASSERT_EQ(engine.score(model, batch, results),
+                  SubmitStatus::kAccepted);
+        served[t].push_back(results[0]);
       }
     });
   }
-  for (auto& t : producers) t.join();
+  for (auto& thread : threads) thread.join();
 
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    ASSERT_EQ(futures[p].size(), kSamplesPerProducer);
-    for (std::size_t i = 0; i < kSamplesPerProducer; ++i) {
-      const auto results = futures[p][i].get();
-      ASSERT_EQ(results.size(), 1u);
-      EXPECT_EQ(results[0].label, expected_labels[p][i]);
-      EXPECT_EQ(results[0].projection_raw, expected_raw[p][i]);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(served[t].size(), kRequestsPerThread);
+    for (std::size_t i = 0; i < kRequestsPerThread; ++i) {
+      EXPECT_EQ(served[t][i].label, expected_labels[t][i]);
+      EXPECT_EQ(served[t][i].projection_raw, expected_raw[t][i]);
     }
   }
-  engine.shutdown();
   const auto& stats = engine.stats();
-  EXPECT_EQ(stats.requests_completed.load(),
-            kProducers * kSamplesPerProducer);
-  EXPECT_EQ(stats.samples_scored.load(), kProducers * kSamplesPerProducer);
-  EXPECT_EQ(stats.requests_rejected.load(), rejected.load());
-  EXPECT_GE(stats.batches_scored.load(), 1u);
-  EXPECT_LE(stats.batches_scored.load(), stats.samples_scored.load());
+  EXPECT_EQ(stats.requests_completed.load(), kThreads * kRequestsPerThread);
+  EXPECT_EQ(stats.batches_scored.load(), kThreads * kRequestsPerThread);
+  EXPECT_EQ(stats.samples_scored.load(), kThreads * kRequestsPerThread);
+  EXPECT_EQ(stats.requests_rejected.load(), 0u);
 }
 
-TEST(InferenceEngineTest, QueueFullReturnsDocumentedRejectionStatus) {
-  support::Rng rng(3);
-  ModelRegistry registry;
-  const auto model = registry.install("m", random_classifier(4, rng));
-  // The lone worker is busy scoring one oversized request (milliseconds
-  // of work) while single-sample submissions arrive microseconds apart,
-  // so the three-slot queue fills.
-  InferenceEngine engine({.workers = 1, .queue_capacity = 3});
-  auto big = engine.submit(model, random_samples(100000, 4, rng));
-  ASSERT_EQ(big.status, SubmitStatus::kAccepted);
-  const Vector x{0.5, -0.5, 1.0, 0.0};
-  std::vector<Submission> held;
-  Submission overflow;
-  for (int i = 0; i < 1000; ++i) {
-    overflow = engine.submit(model, x);
-    if (overflow.status != SubmitStatus::kAccepted) break;
-    held.push_back(std::move(overflow));
-  }
-  EXPECT_EQ(overflow.status, SubmitStatus::kQueueFull);
-  EXPECT_FALSE(overflow.result.valid());
-  EXPECT_EQ(engine.stats().requests_rejected.load(), 1u);
-  EXPECT_EQ(engine.stats().queue_depth_high_water.load(), 3u);
-  EXPECT_DOUBLE_EQ(engine.stats().queue_capacity.load(), 3.0);
-
-  // The backlog drains and fulfills every admitted promise.
-  EXPECT_EQ(big.result.get().size(), 100000u);
-  for (auto& sub : held) {
-    const auto results = sub.result.get();
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].label, model->classifier.classify(x));
-  }
-}
-
+// Calls already admitted when shutdown() lands finish with full
+// results; every later call answers kShuttingDown and leaves the
+// caller's buffer untouched.
 TEST(InferenceEngineTest, ShutdownDrainsInFlightRequests) {
   support::Rng rng(5);
   ModelRegistry registry;
   const auto model = registry.install("m", random_classifier(6, rng));
-  std::vector<std::future<std::vector<ScoreResult>>> futures;
-  {
-    // shutdown() right behind the submissions: whatever is still
-    // queued when it begins, the drain itself must fulfill.
-    InferenceEngine engine({.workers = 2, .queue_capacity = 64});
-    const auto xs = random_samples(32, 6, rng);
-    for (const Vector& x : xs) {
-      auto sub = engine.submit(model, x);
-      ASSERT_EQ(sub.status, SubmitStatus::kAccepted);
-      futures.push_back(std::move(sub.result));
-    }
-    engine.shutdown();
-    // Post-shutdown submissions are refused with the documented status.
-    EXPECT_EQ(engine.submit(model, xs[0]).status,
-              SubmitStatus::kShuttingDown);
-  }  // destructor after explicit shutdown must be safe (idempotent)
-  for (auto& f : futures) {
-    const auto results = f.get();  // would throw broken_promise if dropped
-    EXPECT_EQ(results.size(), 1u);
+  const auto xs = random_samples(32, 6, rng);
+  InferenceEngine engine;
+  constexpr std::size_t kThreads = 3;
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> started{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      PackedBatch batch;
+      pack(model, xs, batch);
+      std::vector<ScoreResult> results;
+      while (true) {
+        results.assign(1, ScoreResult{});
+        const SubmitStatus status = engine.score(model, batch, results);
+        started.fetch_add(1);
+        if (status == SubmitStatus::kShuttingDown) {
+          EXPECT_EQ(results.size(), 1u);  // untouched
+          return;
+        }
+        ASSERT_EQ(status, SubmitStatus::kAccepted);
+        ASSERT_EQ(results.size(), xs.size());
+        EXPECT_EQ(results.back().projection_raw,
+                  model->classifier.project_raw(xs.back()));
+        accepted.fetch_add(1);
+      }
+    });
   }
+  while (started.load() < 100) std::this_thread::yield();
+  engine.shutdown();
+  for (auto& thread : threads) thread.join();
+  engine.shutdown();  // idempotent
+
+  EXPECT_EQ(engine.stats().requests_completed.load(), accepted.load());
+  PackedBatch batch;
+  pack(model, xs, batch);
+  std::vector<ScoreResult> results(3);
+  EXPECT_EQ(engine.score(model, batch, results), SubmitStatus::kShuttingDown);
+  EXPECT_EQ(results.size(), 3u);
 }
 
-// The serve path's synchronous call: bit-identical to the adapter (and
-// to FixedClassifier), recording the series a one-request worker batch
-// records, with submit's checks and shutdown answer.
+// The serve path's call records every series perfbench reads, one
+// record per accepted request; refused calls record nothing and leave
+// the caller's buffer as it was.
 TEST(InferenceEngineTest, SynchronousScoreMatchesClassifierAndRecordsStats) {
   support::Rng rng(6);
   ModelRegistry registry;
   const auto model = registry.install("m", random_classifier(8, rng));
   obs::MetricsRegistry metrics;
   obs::Sink sink{&metrics, nullptr};
-  InferenceEngine engine({.workers = 1, .max_batch = 16, .sink = &sink});
+  InferenceEngine engine({.sink = &sink});
   const auto xs = random_samples(10, 8, rng);
   const PackedBatch batch = model->scorer.pack(xs);
   std::vector<ScoreResult> results;
@@ -213,26 +196,14 @@ TEST(InferenceEngineTest, SynchronousScoreMatchesClassifierAndRecordsStats) {
   EXPECT_EQ(snap.counter_value("runtime.requests_completed"), 1u);
   EXPECT_EQ(snap.counter_value("runtime.batches_scored"), 1u);
   EXPECT_EQ(snap.counter_value("runtime.samples_scored"), 10u);
+  EXPECT_NE(snap.find_counter("runtime.requests_rejected"), nullptr);
   for (const char* name : {"runtime.queue_wait", "runtime.batch_execute",
-                           "runtime.request_total",
-                           "runtime.batch_occupancy"}) {
+                           "runtime.request_total"}) {
     const auto* h = snap.find_histogram(name);
     ASSERT_NE(h, nullptr) << name;
     EXPECT_EQ(h->hist.total_count, 1u) << name;
   }
-  EXPECT_DOUBLE_EQ(
-      snap.find_histogram("runtime.batch_occupancy")->hist.mean(),
-      10.0 / 16.0);
 
-  // submit's shape checks, then the shutdown answer; neither touches
-  // the caller's buffer.
-  const auto other = registry.install("n", random_classifier(4, rng));
-  EXPECT_EQ(engine.score(nullptr, batch, results),
-            SubmitStatus::kInvalidRequest);
-  EXPECT_EQ(engine.score(other, batch, results),
-            SubmitStatus::kInvalidRequest);
-  EXPECT_EQ(engine.score(model, PackedBatch{}, results),
-            SubmitStatus::kInvalidRequest);
   engine.shutdown();
   EXPECT_EQ(engine.score(model, batch, results),
             SubmitStatus::kShuttingDown);
@@ -245,48 +216,105 @@ TEST(InferenceEngineTest, RejectsInvalidRequests) {
   support::Rng rng(8);
   ModelRegistry registry;
   const auto model = registry.install("m", random_classifier(4, rng));
-  InferenceEngine engine({.workers = 1});
-  EXPECT_EQ(engine.submit(nullptr, Vector{1.0}).status,
+  const auto other = registry.install("n", random_classifier(3, rng));
+  InferenceEngine engine;
+  const PackedBatch batch = model->scorer.pack(random_samples(2, 4, rng));
+  std::vector<ScoreResult> results(5);
+  EXPECT_EQ(engine.score(nullptr, batch, results),
             SubmitStatus::kInvalidRequest);
-  EXPECT_EQ(engine.submit(model, std::vector<Vector>{}).status,
+  EXPECT_EQ(engine.score(model, PackedBatch{}, results),
             SubmitStatus::kInvalidRequest);
-  EXPECT_EQ(engine.submit(model, Vector{1.0}).status,  // wrong dimension
+  EXPECT_EQ(engine.score(other, batch, results),  // wrong dimension
             SubmitStatus::kInvalidRequest);
+  EXPECT_EQ(results.size(), 5u);
+  EXPECT_EQ(engine.stats().requests_submitted.load(), 0u);
+  EXPECT_EQ(engine.stats().requests_completed.load(), 0u);
 }
 
+// perfbench's exact accounting: requests_completed equals the accepted
+// calls, and samples_scored / batches_scored is the mean rows of the
+// accepted batches (its runtime.batch_size).
+TEST(InferenceEngineTest, AccountingCountsEveryAcceptedCall) {
+  support::Rng rng(21);
+  ModelRegistry registry;
+  const auto model = registry.install("m", random_classifier(5, rng));
+  const auto other = registry.install("n", random_classifier(2, rng));
+  InferenceEngine engine;
+  PackedBatch batch;
+  std::vector<ScoreResult> results;
+  std::uint64_t accepted = 0;
+  std::uint64_t rows = 0;
+  for (std::size_t i = 0; i < 60; ++i) {
+    pack(model, random_samples(1 + i % 7, 5, rng), batch);
+    SubmitStatus status;
+    switch (i % 4) {
+      case 0: status = engine.score(nullptr, batch, results); break;
+      case 1: status = engine.score(other, batch, results); break;
+      default: status = engine.score(model, batch, results); break;
+    }
+    if (status == SubmitStatus::kAccepted) {
+      ++accepted;
+      rows += batch.rows;
+    }
+  }
+  ASSERT_EQ(accepted, 30u);
+  const obs::MetricsSnapshot snap = engine.stats().snapshot();
+  EXPECT_EQ(snap.counter_value("runtime.requests_completed"), accepted);
+  EXPECT_EQ(snap.counter_value("runtime.requests_submitted"), accepted);
+  EXPECT_EQ(snap.counter_value("runtime.batches_scored"), accepted);
+  EXPECT_EQ(snap.counter_value("runtime.samples_scored"), rows);
+  EXPECT_EQ(snap.counter_value("runtime.requests_rejected"), 0u);
+  EXPECT_DOUBLE_EQ(
+      static_cast<double>(snap.counter_value("runtime.samples_scored")) /
+          static_cast<double>(snap.counter_value("runtime.batches_scored")),
+      static_cast<double>(rows) / static_cast<double>(accepted));
+}
+
+// A scoring thread resolves the registry per request while the model is
+// hot-swapped under it: it serves both snapshots, and every result
+// matches the snapshot that scored it.
 TEST(InferenceEngineTest, HotSwapMidTrafficServesBothSnapshotsExactly) {
   support::Rng rng(11);
   ModelRegistry registry;
-  const auto v1 = registry.install("m", random_classifier(8, rng));
-  InferenceEngine engine({.workers = 2, .max_batch = 8});
+  registry.install("m", random_classifier(8, rng));
+  const core::FixedClassifier v2 = random_classifier(8, rng);
   const auto xs = random_samples(40, 8, rng);
-  std::vector<std::pair<ModelHandle, Submission>> in_flight;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i == xs.size() / 2) {
-      registry.install("m", random_classifier(8, rng));  // hot swap
+  InferenceEngine engine;
+  std::atomic<std::uint64_t> served_v1{0};
+  std::atomic<std::uint64_t> served_v2{0};
+  std::thread traffic([&] {
+    PackedBatch batch;
+    std::vector<ScoreResult> results;
+    for (std::size_t i = 0; served_v2.load() < 200; ++i) {
+      const Vector& x = xs[i % xs.size()];
+      const ModelHandle handle = registry.get("m");
+      batch.clear();
+      handle->scorer.pack_into(batch, &x, 1);
+      ASSERT_EQ(engine.score(handle, batch, results),
+                SubmitStatus::kAccepted);
+      EXPECT_EQ(results[0].label, handle->classifier.classify(x));
+      EXPECT_EQ(results[0].projection_raw,
+                handle->classifier.project_raw(x));
+      (handle->version == 1 ? served_v1 : served_v2).fetch_add(1);
     }
-    auto handle = registry.get("m");
-    auto sub = engine.submit(handle, xs[i]);
-    ASSERT_EQ(sub.status, SubmitStatus::kAccepted);
-    in_flight.emplace_back(std::move(handle), std::move(sub));
-  }
-  for (std::size_t i = 0; i < in_flight.size(); ++i) {
-    const auto results = in_flight[i].second.result.get();
-    ASSERT_EQ(results.size(), 1u);
-    // Each result matches the snapshot the request was scored against.
-    EXPECT_EQ(results[0].label,
-              in_flight[i].first->classifier.classify(xs[i]));
-  }
+  });
+  while (served_v1.load() < 200) std::this_thread::yield();
+  registry.install("m", v2);  // hot swap
+  traffic.join();
+  EXPECT_GE(served_v1.load(), 200u);
+  EXPECT_GE(served_v2.load(), 200u);
+  EXPECT_EQ(engine.stats().requests_completed.load(),
+            served_v1.load() + served_v2.load());
 }
 
 TEST(InferenceEngineTest, StatsReportRenders) {
   support::Rng rng(13);
   ModelRegistry registry;
   const auto model = registry.install("m", random_classifier(4, rng));
-  InferenceEngine engine({.workers = 1});
-  auto sub = engine.submit(model, random_samples(4, 4, rng));
-  ASSERT_EQ(sub.status, SubmitStatus::kAccepted);
-  (void)sub.result.get();
+  InferenceEngine engine;
+  const PackedBatch batch = model->scorer.pack(random_samples(4, 4, rng));
+  std::vector<ScoreResult> results;
+  ASSERT_EQ(engine.score(model, batch, results), SubmitStatus::kAccepted);
   // obs::to_table renders the stats snapshot with the metric identity
   // names as row keys.
   const std::string report = obs::to_table(engine.stats().snapshot());
@@ -299,35 +327,6 @@ TEST(InferenceEngineTest, StatsReportRenders) {
   const obs::MetricsSnapshot snap = engine.stats().snapshot();
   EXPECT_EQ(snap.counter_value("runtime.requests_submitted"), 1u);
   EXPECT_EQ(snap.counter_value("runtime.samples_scored"), 4u);
-  EXPECT_DOUBLE_EQ(snap.gauge_value("runtime.mean_batch_size"), 4.0);
-  // Backpressure visibility: the queue gauges export alongside the
-  // counters (depth is 0 once the lone request drained).
-  EXPECT_NE(snap.find_gauge("runtime.queue_depth"), nullptr);
-  EXPECT_DOUBLE_EQ(snap.gauge_value("runtime.queue_capacity"),
-                   static_cast<double>(EngineOptions{}.queue_capacity));
-}
-
-// Batch occupancy is a ratio in (0, 1]: a request that overshoots
-// max_batch (requests ride whole) fills its batch, it does not overfill it.
-TEST(InferenceEngineTest, BatchOccupancyIsARatioCappedAtOne) {
-  support::Rng rng(14);
-  ModelRegistry registry;
-  const auto model = registry.install("m", random_classifier(4, rng));
-  InferenceEngine engine({.workers = 1, .max_batch = 4});
-  for (const std::size_t n : {std::size_t{2}, std::size_t{10}}) {
-    auto sub = engine.submit(model, random_samples(n, 4, rng));
-    ASSERT_EQ(sub.status, SubmitStatus::kAccepted);
-    (void)sub.result.get();
-  }
-  const obs::MetricsSnapshot snap = engine.stats().snapshot();
-  const auto* occupancy = snap.find_histogram("runtime.batch_occupancy");
-  ASSERT_NE(occupancy, nullptr);
-  EXPECT_EQ(occupancy->hist.unit, obs::Histogram::Unit::kRatio);
-  EXPECT_EQ(occupancy->hist.total_count, 2u);
-  EXPECT_DOUBLE_EQ(occupancy->hist.max_seconds, 1.0);
-  EXPECT_GT(occupancy->hist.quantile(0.5), 0.5);  // the 0.5 bucket's edge
-  EXPECT_LT(occupancy->hist.quantile(0.5), 0.52);
-  EXPECT_DOUBLE_EQ(occupancy->hist.mean(), 0.75);
 }
 
 TEST(InferenceEngineTest, StatsBindIntoExternalRegistry) {
@@ -337,10 +336,10 @@ TEST(InferenceEngineTest, StatsBindIntoExternalRegistry) {
   obs::MetricsRegistry metrics;
   obs::Sink sink{&metrics, nullptr};
   {
-    InferenceEngine engine({.workers = 1, .sink = &sink});
-    auto sub = engine.submit(model, random_samples(3, 4, rng));
-    ASSERT_EQ(sub.status, SubmitStatus::kAccepted);
-    (void)sub.result.get();
+    InferenceEngine engine({.sink = &sink});
+    const PackedBatch batch = model->scorer.pack(random_samples(3, 4, rng));
+    std::vector<ScoreResult> results;
+    ASSERT_EQ(engine.score(model, batch, results), SubmitStatus::kAccepted);
     EXPECT_EQ(&engine.stats().registry(), &metrics);
   }
   // The engine's counters landed in the caller's registry and survive
@@ -351,13 +350,20 @@ TEST(InferenceEngineTest, StatsBindIntoExternalRegistry) {
   EXPECT_EQ(snap.counter_value("runtime.requests_completed"), 1u);
 }
 
-TEST(InferenceEngineTest, OptionsValidateRejects) {
-  EXPECT_FALSE(EngineOptions{.workers = 0}.validate().ok());
-  EXPECT_FALSE(EngineOptions{.queue_capacity = 0}.validate().ok());
-  EXPECT_FALSE(EngineOptions{.max_batch = 0}.validate().ok());
-  EXPECT_FALSE(EngineOptions{.max_wait_seconds = -1.0}.validate().ok());
-  EXPECT_TRUE(EngineOptions{}.validate().ok());
-  EXPECT_THROW(InferenceEngine({.workers = 0}), InvalidArgumentError);
+// The engine is a plain object: constructing one, whatever the two
+// ignored sizing fields say, starts no thread.
+TEST(InferenceEngineTest, ConstructionStartsNoThread) {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::is_directory(tasks)) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  const auto count = [&] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const auto before = count();
+  InferenceEngine engine({.workers = 8, .queue_capacity = 64});
+  EXPECT_EQ(count(), before);
 }
 
 }  // namespace
