@@ -1,7 +1,8 @@
 // Parallel scaling of the ldafp_sched substrate on the two paper
-// workloads: LDA-FP training (the Table 1 synthetic set, parallel
-// branch-and-bound) and the 5-fold CV sweep (the Table 2 BCI workload,
-// parallel (word length × fold) fan-out), each at 1/2/4/8 threads.
+// workloads: LDA-FP training (parallel branch-and-bound) on the Table 1
+// synthetic set and on one 80/20 split of the Table 2 BCI set, and the
+// 5-fold CV sweep (the Table 2 BCI workload, parallel (word length ×
+// fold) fan-out), each at 1/2/4/8 threads.
 //
 // Every parallel run is checked bit-identical to the 1-thread reference
 // before its row prints — the determinism contract (DESIGN.md §9) is an
@@ -30,39 +31,31 @@ using namespace ldafp;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
-sched::Executor executor_for(std::size_t threads) {
-  return threads <= 1 ? sched::Executor::inline_exec()
-                      : sched::Executor::pooled(threads);
-}
-
 bool same_vector(const linalg::Vector& a, const linalg::Vector& b) {
   return a.size() == b.size() && linalg::max_abs_diff(a, b) == 0.0;
 }
 
-/// Table 1 workload: one LDA-FP training run (6-bit format, node-budget
-/// anytime search) with the branch-and-bound expanding nodes in parallel.
-void bench_training() {
-  support::Rng rng(20140601);
-  const auto train = data::make_synthetic(1000, rng);
+/// One LDA-FP training run per thread count (node-budget anytime
+/// search) with the branch-and-bound expanding nodes in parallel.
+void bench_training(const std::string& title,
+                    const data::LabeledDataset& train, int word_length,
+                    const core::LdaFpOptions& base) {
   const core::TrainingSet raw = train.to_training_set();
-  const double beta = stats::confidence_beta(0.9999);
-  const core::FormatChoice choice = core::choose_format(raw, 6, beta, 2);
+  const double beta = stats::confidence_beta(base.rho);
+  const core::FormatChoice choice =
+      core::choose_format(raw, word_length, beta, 2);
   const core::TrainingSet scaled =
       core::scale_training_set(raw, choice.feature_scale);
 
-  std::printf("LDA-FP training, Table 1 synthetic workload "
-              "(%zu samples, W=6, 1500-node budget)\n",
-              train.size());
+  std::printf("%s\n", title.c_str());
   std::fflush(stdout);
   core::LdaFpResult reference;
   double reference_seconds = 0.0;
   support::TextTable table(
       {"Threads", "Train (s)", "Speedup", "Nodes", "Bit-identical"});
   for (const std::size_t threads : kThreadCounts) {
-    core::LdaFpOptions options;
-    options.bnb.max_nodes = 1500;
-    options.bnb.rel_gap = 1e-4;
-    options.bnb.executor = executor_for(threads);
+    core::LdaFpOptions options = base;
+    options.bnb.executor = sched::Executor::pooled(threads);
     const core::LdaFpTrainer trainer(choice.format, options);
     support::WallTimer timer;
     const core::LdaFpResult result = trainer.train(scaled);
@@ -91,14 +84,48 @@ void bench_training() {
       }
     }
     table.add_row({std::to_string(threads),
-                   support::format_double(seconds, 2),
+                   support::format_double(seconds, 3),
                    support::format_double(reference_seconds / seconds, 2),
                    std::to_string(result.search.nodes_processed),
                    identical ? "yes" : "NO"});
-    std::fprintf(stderr, "  [train] %zu thread(s): %.2fs\n", threads,
+    std::fprintf(stderr, "  [train] %zu thread(s): %.3fs\n", threads,
                  seconds);
   }
   std::printf("%s\n", table.to_string().c_str());
+}
+
+/// Table 1 workload: the synthetic set at W=6, 1500-node budget.
+void bench_synthetic_training() {
+  support::Rng rng(20140601);
+  const auto train = data::make_synthetic(1000, rng);
+  core::LdaFpOptions options;
+  options.bnb.max_nodes = 1500;
+  options.bnb.rel_gap = 1e-4;
+  bench_training("LDA-FP training, Table 1 synthetic workload (" +
+                     std::to_string(train.size()) +
+                     " samples, W=6, 1500-node budget)",
+                 train, 6, options);
+}
+
+/// Table 2 workload: one 80/20 split of the BCI set at W=8, 400-node
+/// budget, with perfbench's bci training settings (700 trials per class,
+/// max_step_pow 5; its max-range baseline does not enter LDA-FP).
+void bench_bci_training() {
+  support::Rng recording(16);
+  data::BciOptions bci;
+  bci.trials_per_class = 700;
+  const auto dataset = data::make_bci_synthetic(recording, bci);
+  support::Rng partition(17);
+  const data::Split split = data::stratified_split(dataset, 0.8, partition);
+  core::LdaFpOptions options;
+  options.bnb.max_nodes = 400;
+  options.bnb.rel_gap = 1e-3;
+  options.local_search_options.max_step_pow = 5;
+  bench_training("LDA-FP training, Table 2 BCI workload (" +
+                     std::to_string(split.train.size()) + " samples, " +
+                     std::to_string(dataset.dim()) +
+                     " features, W=8, 400-node budget)",
+                 split.train, 8, options);
 }
 
 /// Table 2 workload: the full 5-fold CV sweep over word lengths 3-8 with
@@ -125,7 +152,7 @@ void bench_cv_sweep() {
       {"Threads", "Sweep (s)", "Speedup", "Bit-identical"});
   for (const std::size_t threads : kThreadCounts) {
     eval::ExperimentConfig run = config;
-    run.executor = executor_for(threads);
+    run.executor = sched::Executor::pooled(threads);
     support::Rng cv_rng(17);  // same folds every thread count
     support::WallTimer timer;
     const auto rows = eval::run_cv_sweep(dataset, 5, run, cv_rng);
@@ -151,10 +178,10 @@ void bench_cv_sweep() {
       }
     }
     table.add_row({std::to_string(threads),
-                   support::format_double(seconds, 2),
+                   support::format_double(seconds, 3),
                    support::format_double(reference_seconds / seconds, 2),
                    identical ? "yes" : "NO"});
-    std::fprintf(stderr, "  [sweep] %zu thread(s): %.2fs\n", threads,
+    std::fprintf(stderr, "  [sweep] %zu thread(s): %.3fs\n", threads,
                  seconds);
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -163,8 +190,9 @@ void bench_cv_sweep() {
 }  // namespace
 
 int main() {
-  std::printf("Parallel scaling — ldafp_sched work-stealing pool\n\n");
-  bench_training();
+  std::printf("Parallel scaling — ldafp_sched thread pool\n\n");
+  bench_synthetic_training();
+  bench_bci_training();
   bench_cv_sweep();
   std::printf("All parallel rows bit-identical to the 1-thread "
               "reference.\n");

@@ -98,25 +98,6 @@ SymmetricEigen eigen_symmetric(const Matrix& a) {
   return out;
 }
 
-Matrix project_psd(const Matrix& a, double floor) {
-  LDAFP_CHECK(floor >= 0.0, "project_psd floor must be non-negative");
-  const SymmetricEigen eig = eigen_symmetric(a);
-  const std::size_t n = a.rows();
-  Matrix out(n, n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double lambda = std::max(eig.eigenvalues[k], floor);
-    if (lambda == 0.0) continue;
-    const Vector vk = eig.eigenvectors.col(k);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        out(i, j) += lambda * vk[i] * vk[j];
-      }
-    }
-  }
-  out.symmetrize();
-  return out;
-}
-
 Matrix sqrt_psd(const Matrix& a, double tol) {
   const SymmetricEigen eig = eigen_symmetric(a);
   const std::size_t n = a.rows();
@@ -139,17 +120,6 @@ Matrix sqrt_psd(const Matrix& a, double tol) {
   }
   out.symmetrize();
   return out;
-}
-
-double condition_number_sym(const Matrix& a) {
-  const SymmetricEigen eig = eigen_symmetric(a);
-  const double lo = eig.eigenvalues[0];
-  const double hi = eig.eigenvalues[eig.eigenvalues.size() - 1];
-  if (!(lo > 0.0)) {
-    throw ldafp::NumericalError(
-        "condition_number_sym: matrix is not positive definite");
-  }
-  return hi / lo;
 }
 
 }  // namespace ldafp::linalg

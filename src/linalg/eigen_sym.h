@@ -1,10 +1,10 @@
 // Symmetric eigendecomposition via the cyclic Jacobi method.
 //
-// Needed for: PSD projection of estimated covariance matrices, whitening,
-// validating that scatter matrices are well conditioned, and the
-// matrix-square-root used by the Gaussian sampler.  Jacobi is slow for very
-// large matrices but unbeatable for the small (M <= a few hundred) symmetric
-// problems here, and its accuracy on tiny eigenvalues is excellent.
+// Needed for: λ_min(S_W) in the LDA-FP trainer's degenerate-t bound and
+// the matrix square root used by the Gaussian sampler.  Jacobi is slow
+// for very large matrices but unbeatable for the small (M <= a few
+// hundred) symmetric problems here, and its accuracy on tiny eigenvalues
+// is excellent.
 #pragma once
 
 #include "linalg/matrix.h"
@@ -23,16 +23,8 @@ struct SymmetricEigen {
 /// converge within the internal sweep limit (practically unreachable).
 SymmetricEigen eigen_symmetric(const Matrix& a);
 
-/// Projects a symmetric matrix onto the PSD cone by clipping negative
-/// eigenvalues to `floor` (>= 0).
-Matrix project_psd(const Matrix& a, double floor = 0.0);
-
 /// Symmetric square root A^{1/2} of a PSD matrix (eigenvalues below
 /// -tol throw NumericalError; small negatives are clipped to 0).
 Matrix sqrt_psd(const Matrix& a, double tol = 1e-9);
-
-/// Spectral condition number λ_max / λ_min of a symmetric PD matrix.
-/// Throws NumericalError when λ_min <= 0.
-double condition_number_sym(const Matrix& a);
 
 }  // namespace ldafp::linalg

@@ -123,43 +123,49 @@ void Server::start() {
   draining_.store(false, std::memory_order_release);
   stop_.store(false, std::memory_order_release);
   loops_.clear();
-  for (std::size_t i = 0; i < options_.io_threads; ++i) {
-    auto loop = std::make_unique<Loop>();
-    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    loop->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (loop->epoll_fd < 0 || loop->wake_fd < 0) {
-      throw IoError("epoll/eventfd setup failed");
+  try {
+    for (std::size_t i = 0; i < options_.io_threads; ++i) {
+      // Owned by loops_ before its fds open, so stop() closes them.
+      Loop& loop = *loops_.emplace_back(std::make_unique<Loop>());
+      loop.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+      loop.wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      if (loop.epoll_fd < 0 || loop.wake_fd < 0) {
+        throw IoError("epoll/eventfd setup failed");
+      }
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.fd = loop.wake_fd;
+      ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.wake_fd, &ev);
     }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = loop->wake_fd;
-    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev);
-    loops_.push_back(std::move(loop));
-  }
-  // The first loop doubles as the acceptor.
-  {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listen_fd_;
-    ::epoll_ctl(loops_[0]->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
-  }
-  for (std::size_t i = 0; i < loops_.size(); ++i) {
-    Loop* loop = loops_[i].get();
-    const bool acceptor = i == 0;
-    loop->thread = std::thread([this, loop, acceptor] {
-      run_loop(*loop, acceptor);
-    });
+    // The first loop doubles as the acceptor.
+    {
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.fd = listen_fd_;
+      ::epoll_ctl(loops_[0]->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
+    }
+    for (std::size_t i = 0; i < loops_.size(); ++i) {
+      Loop* loop = loops_[i].get();
+      const bool acceptor = i == 0;
+      loop->thread = std::thread([this, loop, acceptor] {
+        run_loop(*loop, acceptor);
+      });
+    }
+  } catch (...) {
+    // Join the loops already running and close every fd opened so far.
+    stop(0.0);
+    throw;
   }
   started_ = true;
 }
 
 void Server::stop(double drain_seconds) {
-  if (!started_) return;
   drain_deadline_.store(steady_now() + drain_seconds,
                         std::memory_order_release);
   draining_.store(true, std::memory_order_release);
   stop_.store(true, std::memory_order_release);
   for (auto& loop : loops_) {
+    if (loop->wake_fd < 0) continue;
     const std::uint64_t one = 1;
     [[maybe_unused]] ssize_t n =
         ::write(loop->wake_fd, &one, sizeof(one));

@@ -84,7 +84,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds, listens, and launches the event loops.  Throws IoError when
-  /// the socket cannot be bound.
+  /// the socket cannot be bound or a loop's epoll/eventfd cannot be
+  /// made; a throw leaves no fd open and no loop running.
   void start();
 
   /// Graceful shutdown: stops accepting, answers new requests with

@@ -83,13 +83,6 @@ std::string metric_identity(const std::string& name, const Labels& labels) {
   return out;
 }
 
-void Gauge::set_max(double v) noexcept {
-  double seen = value_.load(std::memory_order_relaxed);
-  while (v > seen && !value_.compare_exchange_weak(
-                         seen, v, std::memory_order_relaxed)) {
-  }
-}
-
 void Gauge::add(double v) noexcept {
   double seen = value_.load(std::memory_order_relaxed);
   while (!value_.compare_exchange_weak(seen, seen + v,

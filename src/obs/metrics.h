@@ -59,17 +59,13 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written (or high-water) double value.  Lock-free.
+/// Last-written (or accumulated) double value.  Lock-free.
 class Gauge {
  public:
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
   void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-
-  /// Monotone update: keeps the maximum of the current and new value
-  /// (queue high-water marks).
-  void set_max(double v) noexcept;
 
   /// Accumulates into the gauge (CAS loop — atomic<double>::fetch_add
   /// codegen is spotty, same rationale as Histogram's integer nanos).

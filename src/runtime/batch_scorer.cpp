@@ -15,10 +15,10 @@ namespace {
 
 constexpr std::size_t kLane = PackedBatch::kLane;
 
-/// The one AoSoA row writer behind pack_into, pack_from_f64_le and
-/// append_packed.  Latches `dim` on an empty batch (a cleared batch
-/// keeps its word capacity but re-latches) or checks it against the
-/// rows already there, then appends `n` rows.  Row r's words come from
+/// The one AoSoA row writer behind pack_into and pack_from_f64_le.
+/// Latches `dim` on an empty batch (a cleared batch keeps its word
+/// capacity but re-latches) or checks it against the rows already
+/// there, then appends `n` rows.  Row r's words come from
 /// `fill_row(r, col)`, which writes feature m to col[m * kLane] and
 /// returns false to stop; the writer then drops that row's partial
 /// words, so `out` holds exactly the rows before it.  A template, not a
@@ -59,20 +59,6 @@ bool append_rows(PackedBatch& out, std::size_t dim, std::size_t n,
 }
 
 }  // namespace
-
-void PackedBatch::append_packed(const PackedBatch& src) {
-  if (src.rows == 0) return;
-  const std::size_t stride = src.dim * kLane;
-  append_rows(*this, src.dim, src.rows,
-              [&](std::size_t r, std::int64_t* col) {
-                const std::int64_t* src_col =
-                    src.words.data() + (r / kLane) * stride + r % kLane;
-                for (std::size_t m = 0; m < src.dim; ++m) {
-                  col[m * kLane] = src_col[m * kLane];
-                }
-                return true;
-              });
-}
 
 BatchScorer::BatchScorer(const core::FixedClassifier& clf)
     : datapath_(clf.datapath_ptr()),

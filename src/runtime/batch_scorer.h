@@ -38,9 +38,9 @@ namespace ldafp::runtime {
 /// within a tile, so one vector load reads the same feature of kLane
 /// consecutive samples.  Partial trailing tiles are zero-padded.
 /// Reused across scoring calls to keep the hot path allocation-free
-/// once the buffer has grown to the working batch size.  Every writer
-/// (pack_into, pack_from_f64_le, append_packed) goes through one row
-/// writer, so they latch dim and lay out tiles identically.
+/// once the buffer has grown to the working batch size.  Both writers
+/// (pack_into, pack_from_f64_le) go through one row writer, so they
+/// latch dim and lay out tiles identically.
 struct PackedBatch {
   static constexpr std::size_t kLane = fixed::simd::kLane;
 
@@ -62,12 +62,6 @@ struct PackedBatch {
     dim = 0;
     words.clear();
   }
-
-  /// Appends every row of `src` (already-quantized words — pure lane
-  /// restriping, no re-quantization), latching dim from `src` when this
-  /// batch is empty.  Throws InvalidArgumentError on a dim mismatch,
-  /// leaving this batch unchanged.
-  void append_packed(const PackedBatch& src);
 };
 
 /// One scored sample: the decision plus the W-bit projection word the

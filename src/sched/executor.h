@@ -1,17 +1,19 @@
 // Executor: the cheap, copyable seam through which callers opt into
 // parallelism.
 //
-// A default-constructed Executor is *inline* — threads() == 1 and every
-// parallel helper degenerates to the plain sequential loop, so embedding
-// an Executor in an options struct (BnbOptions, ExperimentConfig)
-// changes nothing until a caller explicitly asks for a pool.  A pooled
-// Executor shares ownership of one ThreadPool; copies share the same
-// workers, so the sweep layer and the branch-and-bound layer can hand
-// the same pool around without oversubscribing the machine.
+// A default-constructed Executor is *inline* — threads() == 1, TaskGroup
+// runs each task on the spot and parallel_map is the plain sequential
+// loop, so embedding an Executor in an options struct (BnbOptions,
+// ExperimentConfig) changes nothing until a caller explicitly asks for a
+// pool with Executor::pooled.  A pooled Executor shares ownership of one
+// ThreadPool; copies share the same workers, so the sweep layer and the
+// branch-and-bound layer can hand the same pool around without
+// oversubscribing the machine.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <thread>
 
 #include "sched/thread_pool.h"
 
@@ -23,13 +25,16 @@ class Executor {
   /// Inline executor: parallel helpers run on the calling thread.
   Executor() = default;
 
-  /// Synonym for the default constructor, for call-site clarity.
-  static Executor inline_exec() { return Executor(); }
-
   /// Executor backed by a pool of `threads` workers.  `threads` == 0
-  /// means std::thread::hardware_concurrency(); `threads` <= 1 returns
-  /// an inline executor (no pool, identical behaviour to sequential).
-  static Executor pooled(std::size_t threads);
+  /// means std::thread::hardware_concurrency() (1 when unknown);
+  /// `threads` <= 1 returns an inline executor (no pool, identical
+  /// behaviour to sequential).
+  static Executor pooled(std::size_t threads) {
+    if (threads == 0) threads = std::thread::hardware_concurrency();
+    Executor ex;
+    if (threads > 1) ex.pool_ = std::make_shared<ThreadPool>(threads);
+    return ex;
+  }
 
   /// Worker count: 1 for inline executors.
   std::size_t threads() const { return pool_ ? pool_->size() : 1; }

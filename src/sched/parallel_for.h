@@ -1,24 +1,17 @@
-// Data-parallel loop helpers over an Executor, with deterministic
-// variants for the experiment harness.
-//
-// parallel_for covers an index range with either static chunking (one
-// contiguous block per worker — lowest overhead, right when iterations
-// cost about the same) or dynamic chunking (an atomic cursor hands out
-// `grain`-sized slices — right when iteration cost is skewed, e.g. one
-// word length's branch-and-bound dwarfing the others).
-//
-// Determinism: parallel_for promises only that every index runs exactly
-// once.  parallel_map additionally stores result i at slot i, and
-// parallel_reduce_ordered folds those slots *in index order* on the
-// calling thread — so floating-point reductions are bit-identical to the
-// sequential loop at any thread count, without requiring associativity.
+// parallel_map, the data-parallel loop helper over an Executor.  Inline
+// executors run the plain sequential loop in index order.  A pooled
+// executor runs one loop per worker, each claiming the next index from a
+// shared atomic cursor — right for the coarse, skewed bodies this
+// repository maps (a CV trial, a word length's whole branch-and-bound).
+// Result i always lands at slot i, so a caller that folds the results in
+// index order is bit-identical to the sequential loop at any thread
+// count, without requiring associativity.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "sched/executor.h"
@@ -26,93 +19,33 @@
 
 namespace ldafp::sched {
 
-/// How parallel_for carves the index range.
-enum class Chunking {
-  kStatic,   ///< one contiguous block per worker
-  kDynamic,  ///< atomic cursor, `grain` indices at a time
-};
-
-/// parallel_for tuning.
-struct ForOptions {
-  Chunking chunking = Chunking::kStatic;
-  std::size_t grain = 1;  ///< dynamic slice size (>= 1)
-};
-
-/// Invokes `body(i)` for every i in [begin, end), exactly once each.
-/// Inline executors run the plain sequential loop.  `body` must be
-/// safe to invoke concurrently on distinct indices.  Exceptions from
-/// any invocation abort the remaining chunks' work lazily and the first
-/// one is rethrown here.
-template <typename Body>
-void parallel_for(const Executor& executor, std::size_t begin,
-                  std::size_t end, Body&& body, ForOptions options = {}) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  if (!executor.parallel() || n == 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-
-  TaskGroup group(executor);
-  if (options.chunking == Chunking::kStatic) {
-    const std::size_t chunks = std::min(executor.threads(), n);
-    const std::size_t base = n / chunks;
-    const std::size_t extra = n % chunks;  // first `extra` chunks get +1
-    std::size_t lo = begin;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t len = base + (c < extra ? 1 : 0);
-      const std::size_t hi = lo + len;
-      group.run([lo, hi, &body] {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      });
-      lo = hi;
-    }
-  } else {
-    const std::size_t grain = options.grain == 0 ? 1 : options.grain;
-    auto cursor = std::make_shared<std::atomic<std::size_t>>(begin);
-    const std::size_t slices = (n + grain - 1) / grain;
-    const std::size_t loops = std::min(executor.threads(), slices);
-    for (std::size_t w = 0; w < loops; ++w) {
-      group.run([cursor, end, grain, &body] {
-        while (true) {
-          const std::size_t lo = cursor->fetch_add(grain);
-          if (lo >= end) return;
-          const std::size_t hi = std::min(lo + grain, end);
-          for (std::size_t i = lo; i < hi; ++i) body(i);
-        }
-      });
-    }
-  }
-  group.wait();
-}
-
-/// Evaluates `fn(i)` for i in [0, n) and returns the results in index
-/// order.  The value type must be default-constructible and movable.
-/// Dynamic chunking with grain 1: map bodies in this repository are
-/// coarse (a training fold, a full trial).
+/// Evaluates `fn(i)` for i in [0, n), each exactly once, and returns the
+/// results in index order.  The value type must be default-constructible
+/// and movable; `fn` must be safe to invoke concurrently on distinct
+/// indices.  An invocation that throws ends its own loop; the first
+/// exception is rethrown here once every loop has finished.
 template <typename Fn>
 auto parallel_map(const Executor& executor, std::size_t n, Fn&& fn)
     -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
   using Value = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
   std::vector<Value> out(n);
-  parallel_for(
-      executor, 0, n, [&](std::size_t i) { out[i] = fn(i); },
-      ForOptions{Chunking::kDynamic, 1});
-  return out;
-}
-
-/// Maps in parallel, folds sequentially in index order:
-///   acc = fold(acc, fn(0)); acc = fold(acc, fn(1)); ...
-/// Bit-identical to the sequential loop at any thread count.
-template <typename Acc, typename Fn, typename Fold>
-Acc parallel_reduce_ordered(const Executor& executor, std::size_t n,
-                            Acc init, Fn&& fn, Fold&& fold) {
-  auto values = parallel_map(executor, n, std::forward<Fn>(fn));
-  Acc acc = std::move(init);
-  for (auto& value : values) {
-    acc = fold(std::move(acc), std::move(value));
+  if (!executor.parallel() || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = fn(i);
+    return out;
   }
-  return acc;
+  std::atomic<std::size_t> cursor{0};
+  TaskGroup group(executor);
+  const std::size_t loops = std::min(executor.threads(), n);
+  for (std::size_t w = 0; w < loops; ++w) {
+    group.run([&] {
+      for (std::size_t i = cursor.fetch_add(1); i < n;
+           i = cursor.fetch_add(1)) {
+        out[i] = fn(i);
+      }
+    });
+  }
+  group.wait();
+  return out;
 }
 
 }  // namespace ldafp::sched

@@ -5,148 +5,68 @@
 #include "support/error.h"
 
 namespace ldafp::sched {
-namespace {
-
-// Which pool (if any) the current thread is a worker of, and its index.
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_index = 0;
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   LDAFP_CHECK(threads > 0, "thread pool needs at least one worker");
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    drain_and_join();  // nothing was submitted: just joins the workers
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { drain_and_join(); }
+
+void ThreadPool::drain_and_join() {
   {
     // Drain before stopping: a running task may still submit work and
     // then wait for it, and that work needs a live worker to run it.
-    // stop_ is set under idle_mu_, like pending_ in submit(), so a worker
-    // between its predicate check and its wait cannot miss the notify.
-    std::unique_lock lock(idle_mu_);
-    drained_cv_.wait(lock, [this] {
-      return pending_.load() <= 0 && running_.load() == 0;
-    });
-    stop_.store(true);
+    // Once the queue is empty and nothing runs, nothing can submit.
+    std::unique_lock lock(mu_);
+    idle_cv_.wait(lock, [this] { return tasks_.empty() && running_ == 0; });
+    stop_ = true;
   }
-  idle_cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  // Belt and braces: a submit racing the final pending_ update could in
-  // principle leave a task behind; the contract says it must still run.
-  while (try_run_one()) {
-  }
 }
 
 void ThreadPool::submit(std::function<void()> task) {
   LDAFP_CHECK(task != nullptr, "cannot submit a null task");
-  if (tls_pool == this) {
-    std::lock_guard lock(queues_[tls_index]->mu);
-    queues_[tls_index]->tasks.push_back(std::move(task));
-  } else {
-    std::lock_guard lock(inject_mu_);
-    injected_.push_back(std::move(task));
-  }
   {
-    // The increment is fenced by idle_mu_ so a parking worker either sees
-    // pending_ > 0 in its predicate or is already waiting when the notify
-    // lands — no lost wakeups.
-    std::lock_guard lock(idle_mu_);
-    pending_.fetch_add(1);
+    std::lock_guard lock(mu_);
+    tasks_.push_back(std::move(task));
   }
-  idle_cv_.notify_one();
+  work_cv_.notify_one();
 }
 
-bool ThreadPool::pop_own(std::size_t index, Task& out) {
-  WorkerQueue& q = *queues_[index];
-  std::lock_guard lock(q.mu);
-  if (q.tasks.empty()) return false;
-  out = std::move(q.tasks.back());
-  q.tasks.pop_back();
-  running_.fetch_add(1);
-  pending_.fetch_sub(1);
-  return true;
-}
-
-bool ThreadPool::pop_injected(Task& out) {
-  std::lock_guard lock(inject_mu_);
-  if (injected_.empty()) return false;
-  out = std::move(injected_.front());
-  injected_.pop_front();
-  running_.fetch_add(1);
-  pending_.fetch_sub(1);
-  return true;
-}
-
-bool ThreadPool::steal(std::size_t thief, Task& out) {
-  const std::size_t n = queues_.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t victim = (thief + 1 + k) % n;
-    if (victim == thief) continue;
-    WorkerQueue& q = *queues_[victim];
-    std::lock_guard lock(q.mu);
-    if (q.tasks.empty()) continue;
-    out = std::move(q.tasks.front());
-    q.tasks.pop_front();
-    running_.fetch_add(1);
-    pending_.fetch_sub(1);
-    steals_.fetch_add(1);
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::run(Task& task) {
-  executed_.fetch_add(1);
-  task();  // tasks must not throw (TaskGroup wraps user code)
-  if (running_.fetch_sub(1) == 1 && pending_.load() <= 0) {
-    // The pool may have just gone idle: wake a draining destructor.
-    std::lock_guard lock(idle_mu_);
-    drained_cv_.notify_all();
-  }
+void ThreadPool::run_front(std::unique_lock<std::mutex>& lock) {
+  {
+    Task task = std::move(tasks_.front());
+    tasks_.pop_front();
+    ++running_;
+    lock.unlock();
+    task();  // tasks must not throw (TaskGroup wraps user code)
+  }  // the task's captures die before the pool can report idle
+  lock.lock();
+  if (--running_ == 0 && tasks_.empty()) idle_cv_.notify_all();
 }
 
 bool ThreadPool::try_run_one() {
-  Task task;
-  const bool is_worker = tls_pool == this;
-  const std::size_t self = is_worker ? tls_index : queues_.size();
-  if (is_worker && pop_own(self, task)) {
-    run(task);
-    return true;
-  }
-  if (pop_injected(task)) {
-    run(task);
-    return true;
-  }
-  if (steal(self, task)) {
-    run(task);
-    return true;
-  }
-  return false;
+  std::unique_lock lock(mu_);
+  if (tasks_.empty()) return false;
+  run_front(lock);
+  return true;
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
-  tls_pool = this;
-  tls_index = index;
-  Task task;
+void ThreadPool::worker_loop() {
+  std::unique_lock lock(mu_);
   while (true) {
-    if (pop_own(index, task) || pop_injected(task) || steal(index, task)) {
-      run(task);
-      task = nullptr;
-      continue;
-    }
-    std::unique_lock lock(idle_mu_);
-    idle_cv_.wait(lock, [this] {
-      return stop_.load() || pending_.load() > 0;
-    });
-    if (stop_.load() && pending_.load() <= 0) return;
+    work_cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+    if (tasks_.empty()) return;  // stopped, and the destructor drained
+    run_front(lock);
   }
 }
 

@@ -1,15 +1,11 @@
-// Fixed-size work-stealing thread pool — the execution substrate shared
-// by the parallel branch-and-bound driver and the experiment sweeps.
+// Fixed-size thread pool — the execution substrate shared by the
+// parallel branch-and-bound driver and the experiment sweeps.
 //
-// Shape: one bounded set of workers, each owning a deque.  A worker
-// pushes and pops its own deque at the back (LIFO, cache-warm); idle
-// workers steal from the front of a victim's deque (FIFO, oldest task
-// first, the classic Blumofe–Leiserson discipline).  Tasks submitted
-// from outside the pool land in a shared injection queue.  Each deque is
-// guarded by its own small mutex rather than a lock-free Chase–Lev
-// array: every task in this repository is milliseconds of work (a
-// barrier solve, a training fold), so the mutex is invisible in profiles
-// and the pool stays trivially ThreadSanitizer-clean.
+// One FIFO task deque under one mutex, with one condition variable that
+// wakes workers and one that wakes the draining destructor.  Every task
+// here is 50 µs or more of work (a speculative node expansion, a CV
+// trial), so the lock is invisible in profiles and per-worker deques
+// with stealing would buy nothing.
 //
 // The pool never blocks a caller: submit() enqueues and returns, and
 // try_run_one() lets *any* thread (a TaskGroup waiter, the B&B control
@@ -17,26 +13,25 @@
 // nested fork/join on one shared pool deadlock-free.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace ldafp::sched {
 
-/// Fixed-size work-stealing pool.  All methods are thread-safe.
+/// Fixed-size single-queue pool.  All methods are thread-safe.
 class ThreadPool {
  public:
   /// Spawns `threads` workers (at least 1).
   explicit ThreadPool(std::size_t threads);
 
-  /// Finishes every task already submitted, then joins the workers.
-  /// Submitting concurrently with destruction is undefined.
+  /// Finishes every task already submitted, including work a running
+  /// task submits, then joins the workers.  Submitting from outside the
+  /// pool concurrently with destruction is undefined.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -45,61 +40,30 @@ class ThreadPool {
   /// Number of worker threads.
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues a task.  From a worker thread the task goes to that
-  /// worker's own deque (LIFO); from any other thread it goes to the
-  /// shared injection queue.
+  /// Enqueues a task at the back of the queue.
   void submit(std::function<void()> task);
 
-  /// Runs one queued task on the calling thread, if any is available.
-  /// Returns false when every queue is empty.  Safe from any thread;
-  /// waiters use it to help instead of blocking.
+  /// Runs the oldest queued task on the calling thread, if any.  Returns
+  /// false when the queue is empty.  Safe from any thread; waiters use
+  /// it to help instead of blocking.
   bool try_run_one();
-
-  /// Tasks executed so far (telemetry).
-  std::size_t tasks_executed() const { return executed_.load(); }
-
-  /// Tasks taken from another worker's deque so far (telemetry).
-  std::size_t steals() const { return steals_.load(); }
 
  private:
   using Task = std::function<void()>;
 
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
+  void worker_loop();
+  /// Pops the front task and runs it with `lock` released; reacquires
+  /// `lock` before returning.
+  void run_front(std::unique_lock<std::mutex>& lock);
+  void drain_and_join();
 
-  void worker_loop(std::size_t index);
-  bool pop_own(std::size_t index, Task& out);
-  bool pop_injected(Task& out);
-  bool steal(std::size_t thief, Task& out);
-  void run(Task& task);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex inject_mu_;
-  std::deque<Task> injected_;
-
-  // Sleep/wake: workers park on `idle_cv_` when a full scan finds
-  // nothing; `pending_` counts submitted-but-not-yet-started tasks so
-  // the wake predicate is a single load.
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  /// Signed: a task is pushed before pending_ is incremented, so a fast
-  /// thief can transiently drive the counter to -1.
-  std::atomic<std::ptrdiff_t> pending_{0};
-  /// Tasks taken from a queue and not yet finished.  Incremented before
-  /// pending_ is decremented, so a queued task always shows in one of
-  /// the two counters.
-  std::atomic<std::size_t> running_{0};
-  /// Signalled (under idle_mu_) when the last running task finishes with
-  /// nothing pending; the destructor waits on it before stopping.
-  std::condition_variable drained_cv_;
-  std::atomic<bool> stop_{false};
-
-  std::atomic<std::size_t> executed_{0};
-  std::atomic<std::size_t> steals_{0};
+  std::mutex mu_;
+  std::deque<Task> tasks_;           ///< guarded by mu_
+  std::size_t running_ = 0;          ///< tasks popped, not finished; mu_
+  bool stop_ = false;                ///< guarded by mu_
+  std::condition_variable work_cv_;  ///< tasks_ non-empty or stop_
+  std::condition_variable idle_cv_;  ///< tasks_ empty and running_ == 0
+  std::vector<std::thread> workers_;  ///< last: the workers use the above
 };
 
 }  // namespace ldafp::sched

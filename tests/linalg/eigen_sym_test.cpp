@@ -61,27 +61,6 @@ TEST_P(EigenSymRandomTest, ReconstructionAndOrthogonality) {
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenSymRandomTest,
                          ::testing::Values(1, 2, 3, 5, 10, 20, 42));
 
-TEST(ProjectPsdTest, ClipsNegativeEigenvalues) {
-  const Matrix a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues -1, 3
-  const Matrix p = project_psd(a);
-  const auto eig = eigen_symmetric(p);
-  EXPECT_GE(eig.eigenvalues[0], -1e-12);
-  EXPECT_NEAR(eig.eigenvalues[1], 3.0, 1e-10);
-}
-
-TEST(ProjectPsdTest, LeavesPsdUntouched) {
-  support::Rng rng(37);
-  const Matrix a = random_spd(4, 0.5, 3.0, rng);
-  EXPECT_LT(max_abs_diff(project_psd(a), a), 1e-10);
-}
-
-TEST(ProjectPsdTest, FloorRaisesSmallEigenvalues) {
-  const Matrix a = Matrix::diagonal(Vector{1e-6, 1.0});
-  const Matrix p = project_psd(a, 0.1);
-  const auto eig = eigen_symmetric(p);
-  EXPECT_GE(eig.eigenvalues[0], 0.1 - 1e-12);
-}
-
 TEST(SqrtPsdTest, SquaresBackToOriginal) {
   support::Rng rng(41);
   const Matrix a = random_spd(5, 0.2, 4.0, rng);
@@ -92,20 +71,6 @@ TEST(SqrtPsdTest, SquaresBackToOriginal) {
 TEST(SqrtPsdTest, ThrowsOnClearlyNegative) {
   const Matrix a = Matrix::diagonal(Vector{-1.0, 1.0});
   EXPECT_THROW(sqrt_psd(a), ldafp::NumericalError);
-}
-
-TEST(ConditionNumberTest, IdentityIsOne) {
-  EXPECT_NEAR(condition_number_sym(Matrix::identity(3)), 1.0, 1e-12);
-}
-
-TEST(ConditionNumberTest, DiagonalRatio) {
-  const Matrix a = Matrix::diagonal(Vector{0.5, 5.0});
-  EXPECT_NEAR(condition_number_sym(a), 10.0, 1e-10);
-}
-
-TEST(ConditionNumberTest, ThrowsOnSingular) {
-  const Matrix a = Matrix::diagonal(Vector{0.0, 1.0});
-  EXPECT_THROW(condition_number_sym(a), ldafp::NumericalError);
 }
 
 }  // namespace

@@ -1,15 +1,21 @@
 // End-to-end epoll server tests over real loopback sockets: scoring
 // correctness against the classifier, pipelined ordering, multi-model
 // routing and hot swap, a burst beyond any queue answered in full, loop
-// fairness under a flooding client, the malformed-frame teardown, and
+// fairness under a flooding client, the malformed-frame teardown, a
+// start() that fails after bind without leaking an fd, and
 // deterministic multi-threaded client traffic with exact metrics
 // accounting (run under TSan via the `net` label).
 #include "net/server.h"
 
+#include <fcntl.h>
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -57,6 +63,12 @@ ScoreRequest make_request(std::uint64_t id, const std::string& model = "") {
 class ServerTest : public ::testing::Test {
  protected:
   void start(std::size_t io_threads = 2) {
+    build(io_threads);
+    server_->start();
+  }
+
+  /// Constructs the server without starting it.
+  void build(std::size_t io_threads) {
     support::Rng rng(11);
     alpha_ = registry_.install("alpha", test_classifier(kDim, rng));
     beta_ = registry_.install("beta", test_classifier(kDim, rng));
@@ -70,7 +82,6 @@ class ServerTest : public ::testing::Test {
     options.registry = &registry_;
     options.sink = &sink_;
     server_.emplace(std::move(options));
-    server_->start();
   }
 
   void TearDown() override {
@@ -344,6 +355,42 @@ TEST_F(ServerTest, LoopWakeupsProportionalToCompletions) {
   const std::uint64_t used = server_->metrics().loop_wakeups.load() - before;
   // Plus idle-tick slack.  A zero-timeout poll would blow far past this.
   EXPECT_LE(used, 2 * kCount + 20);
+}
+
+/// Entries of /proc/self/fd: this process's open fds (the directory
+/// handle that lists them included, in every count alike).
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+/// The `k`-th lowest fd number not open in this process (k from 1).
+int kth_free_fd(int k) {
+  for (int fd = 0;; ++fd) {
+    if (::fcntl(fd, F_GETFD) == -1 && errno == EBADF && --k == 0) return fd;
+  }
+}
+
+// A start() that fails after bind must close every fd it opened and
+// leave no loop running.  The lowered fd limit leaves room for the
+// listener, the spare fd and the first loop's epoll and eventfd only, so
+// the second loop's epoll_create1 fails with EMFILE.
+TEST_F(ServerTest, StartFailureAfterBindClosesEveryFd) {
+  build(/*io_threads=*/2);
+  const std::size_t before = open_fd_count();
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(kth_free_fd(4) + 1);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  EXPECT_THROW(server_->start(), IoError);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_FALSE(server_->running());
+  EXPECT_EQ(open_fd_count(), before);
 }
 
 TEST(ServerOptionsTest, ValidateCatchesMissingWiring) {

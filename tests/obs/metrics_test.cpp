@@ -53,11 +53,10 @@ TEST(MetricsRegistryTest, KindsAreSeparateNamespaces) {
   EXPECT_EQ(snap.find_histogram("x")->hist.total_count, 1u);
 }
 
-TEST(MetricsRegistryTest, GaugeSetMaxAndAdd) {
+TEST(MetricsRegistryTest, GaugeSetAndAdd) {
   MetricsRegistry registry;
   Gauge& g = registry.gauge("g");
-  g.set_max(3.0);
-  g.set_max(1.0);  // lower value never wins
+  g.set(3.0);
   EXPECT_DOUBLE_EQ(g.load(), 3.0);
   g.add(0.5);
   g.add(0.25);

@@ -334,54 +334,5 @@ TEST(BatchScorerTest, PackFromWireNaNKeepsOnlyEarlierRows) {
   }
 }
 
-// append_packed restripes already-quantized rows without touching their
-// bits — merges onto a tile-aligned and onto a mid-tile destination
-// must both equal packing the concatenated sample list directly.
-TEST(BatchScorerTest, AppendPackedMatchesDirectPack) {
-  support::Rng rng(59);
-  const fixed::FixedFormat fmt(3, 5);
-  const auto clf = random_classifier(fmt, 3, rng,
-                                     fixed::RoundingMode::kNearestEven,
-                                     fixed::AccumulatorMode::kWide);
-  const BatchScorer scorer(clf);
-  // Row counts chosen so merges hit both destination cases: 8 rows
-  // (tile-aligned for kLane in {1,2,4,8}) then 5 (mid-tile restripe).
-  const auto a = random_samples(8, 3, 3.0, rng);
-  const auto b = random_samples(5, 3, 3.0, rng);
-  const auto c = random_samples(6, 3, 3.0, rng);
-
-  PackedBatch merged;
-  merged.append_packed(scorer.pack(a));
-  merged.append_packed(scorer.pack(b));
-  merged.append_packed(scorer.pack(c));
-
-  std::vector<Vector> all;
-  all.insert(all.end(), a.begin(), a.end());
-  all.insert(all.end(), b.begin(), b.end());
-  all.insert(all.end(), c.begin(), c.end());
-  const PackedBatch direct = scorer.pack(all);
-  ASSERT_EQ(merged.rows, direct.rows);
-  EXPECT_EQ(merged.words, direct.words);
-
-  // And the merged batch scores bit-identically to per-sample classify.
-  std::vector<ScoreResult> scored(merged.rows);
-  scorer.score(merged, scored.data());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(scored[i].projection_raw, clf.project_raw(all[i])) << i;
-  }
-}
-
-TEST(BatchScorerTest, AppendPackedRejectsDimMismatch) {
-  const fixed::FixedFormat fmt(2, 2);
-  const core::FixedClassifier clf2(fmt, Vector{0.25, -0.5}, 0.0);
-  const core::FixedClassifier clf3(fmt, Vector{0.25, -0.5, 0.75}, 0.0);
-  PackedBatch merged;
-  merged.append_packed(BatchScorer(clf2).pack({Vector{0.25, 0.5}}));
-  EXPECT_THROW(
-      merged.append_packed(BatchScorer(clf3).pack({Vector{0.0, 0.0, 0.0}})),
-      ldafp::InvalidArgumentError);
-  EXPECT_EQ(merged.rows, 1u);
-}
-
 }  // namespace
 }  // namespace ldafp::runtime

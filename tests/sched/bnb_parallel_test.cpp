@@ -135,8 +135,7 @@ void expect_identical(const BnbResult& a, const BnbResult& b,
 BnbResult run_with_threads(const Box& root, std::size_t threads,
                            BnbOptions options = {}) {
   AtomicIntegerQuadratic problem(Vector{1.3, -2.7, 0.5, 3.1});
-  options.executor = threads <= 1 ? sched::Executor::inline_exec()
-                                  : sched::Executor::pooled(threads);
+  options.executor = sched::Executor::pooled(threads);
   return BnbSolver(options).run(problem, root);
 }
 
@@ -196,9 +195,7 @@ TEST(BnbParallelTest, WarmStartInvariantAcrossThreadCounts) {
   for (int k = 0; k < 2; ++k) {
     AtomicIntegerQuadratic problem(Vector{1.3, -2.7, 0.5, 3.1});
     BnbOptions options;
-    options.executor = counts[k] <= 1
-                           ? sched::Executor::inline_exec()
-                           : sched::Executor::pooled(counts[k]);
+    options.executor = sched::Executor::pooled(counts[k]);
     results[k] = BnbSolver(options).run(problem, root, incumbent);
   }
   expect_identical(results[0], results[1], 4);
@@ -212,8 +209,7 @@ TEST(BnbParallelTest, ProgressSnapshotsIdenticalUnderParallelism) {
     AtomicIntegerQuadratic problem(Vector{1.3, -2.7, 0.5});
     BnbOptions options;
     options.progress_interval = 1;
-    options.executor = threads <= 1 ? sched::Executor::inline_exec()
-                                    : sched::Executor::pooled(threads);
+    options.executor = sched::Executor::pooled(threads);
     std::vector<std::pair<double, double>> trace;  // (best, bound)
     options.progress = [&trace](const BnbResult& snapshot) {
       trace.emplace_back(snapshot.best_value, snapshot.lower_bound);
@@ -250,9 +246,7 @@ class LdaFpWarmStartParallelTest : public ::testing::Test {
     core::LdaFpOptions options;
     options.bnb.max_nodes = max_nodes;
     options.bnb.warm_start_relaxations = warm;
-    options.bnb.executor = threads <= 1
-                               ? sched::Executor::inline_exec()
-                               : sched::Executor::pooled(threads);
+    options.bnb.executor = sched::Executor::pooled(threads);
     return core::LdaFpTrainer(choice.format, options).train(scaled);
   }
 

@@ -123,7 +123,7 @@ TEST(ExperimentParallelTest, TrainerBitIdenticalWithPooledBnbExecutor) {
   };
 
   const core::LdaFpResult reference =
-      train_with(sched::Executor::inline_exec());
+      train_with(sched::Executor{});
   ASSERT_TRUE(reference.found());
   for (const std::size_t threads : {2u, 4u}) {
     const core::LdaFpResult parallel =

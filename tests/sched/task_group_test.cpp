@@ -12,7 +12,7 @@ namespace ldafp::sched {
 namespace {
 
 TEST(TaskGroupTest, InlineRunsTasksImmediately) {
-  TaskGroup group{Executor::inline_exec()};
+  TaskGroup group{Executor{}};
   bool ran = false;
   group.run([&ran] { ran = true; });
   EXPECT_TRUE(ran);  // inline: done before run() returns
@@ -50,7 +50,7 @@ TEST(TaskGroupTest, ExceptionPropagatesFromPooledTask) {
 
 TEST(TaskGroupTest, ExceptionDeferredToWaitOnInlineExecutor) {
   // Parity with the pooled executor: run() never throws, wait() does.
-  TaskGroup group{Executor::inline_exec()};
+  TaskGroup group{Executor{}};
   EXPECT_NO_THROW(group.run([] { throw std::runtime_error("boom"); }));
   EXPECT_THROW(group.wait(), std::runtime_error);
 }

@@ -16,7 +16,6 @@ TEST(ThreadPoolTest, ConstructAndDestroyIdle) {
   // The destructor must join cleanly with nothing ever submitted.
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
-  EXPECT_EQ(pool.tasks_executed(), 0u);
 }
 
 TEST(ThreadPoolTest, ZeroWorkersRejected) {
@@ -67,11 +66,11 @@ TEST(ThreadPoolTest, EveryTaskRunsExactlyOnce) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(counts[i].load(), 1);
 }
 
-TEST(ThreadPoolTest, WorkerSubmissionsAreStolenByPeers) {
-  // A worker parks a task on its own deque and then spins; the only
-  // threads that can run it are a stealing peer (or an external helper,
-  // which this test does not provide) — so completion proves the steal
-  // path works and ran on a different thread.
+TEST(ThreadPoolTest, BusyWorkerSubmissionRunsOnAnotherThread) {
+  // A worker queues a task and then spins until it has run; the only
+  // thread that can run it is the idle peer (this test provides no
+  // external helper) — so completion proves a worker's submission wakes
+  // another worker.
   std::atomic<bool> inner_done{false};
   std::thread::id outer_id;
   std::thread::id inner_id;
@@ -88,23 +87,6 @@ TEST(ThreadPoolTest, WorkerSubmissionsAreStolenByPeers) {
   }
   EXPECT_TRUE(inner_done.load());
   EXPECT_NE(outer_id, inner_id);
-}
-
-TEST(ThreadPoolTest, StealTelemetryCounts) {
-  // Same shape as above; the completed steal must be visible in steals().
-  std::atomic<bool> inner_done{false};
-  std::size_t steals = 0;
-  {
-    ThreadPool pool(2);
-    pool.submit([&] {
-      pool.submit([&] { inner_done.store(true); });
-      while (!inner_done.load()) std::this_thread::yield();
-    });
-    // Wait for the steal before reading the counter (the pool is alive).
-    while (!inner_done.load()) std::this_thread::yield();
-    steals = pool.steals();
-  }
-  EXPECT_GE(steals, 1u);
 }
 
 TEST(ThreadPoolTest, TryRunOneExecutesInjectedTaskOnCaller) {
@@ -137,21 +119,9 @@ TEST(ThreadPoolTest, TryRunOneReturnsFalseWhenEmpty) {
   EXPECT_FALSE(pool.try_run_one());
 }
 
-TEST(ThreadPoolTest, ExecutedTelemetryCounts) {
-  std::atomic<int> ran{0};
-  std::size_t executed = 0;
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) pool.submit([&ran] { ran.fetch_add(1); });
-    while (ran.load() < 32) std::this_thread::yield();
-    executed = pool.tasks_executed();
-  }
-  EXPECT_EQ(executed, 32u);
-}
-
 TEST(ThreadPoolTest, ManyProducersManyTasks) {
-  // External submissions from several threads at once land in the
-  // injection queue; all must run exactly once.
+  // Submissions from several threads at once all land in the one
+  // queue; each must run exactly once.
   const std::size_t producers = 4;
   const std::size_t per_producer = 200;
   std::vector<std::atomic<int>> counts(producers * per_producer);

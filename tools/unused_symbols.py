@@ -21,9 +21,11 @@ symbol that program code calls.
 Each output line reads `path:line kind Class::name`.  With --allowlist
 FILE (one `Class::name  reason` per line, `#` comments) the listed
 symbols are printed as allowed, and the exit status is 1 when any symbol
-is unused and not on the list, or an entry gives no reason.  Allowlist
-entries the scan does not report (fields it cannot see, or symbols that
-gained a caller) are printed as notes.
+is unused and not on the list, or an entry gives no reason, or the list
+has gone stale: an entry the scan does not report (deleted, or gained a
+caller) unless its reason starts with "field" (the scan cannot see
+fields), or an entry whose reason starts with "test-only" while its own
+.cpp calls it (then it is internal).
 """
 
 import argparse
@@ -43,6 +45,7 @@ ACCESS = re.compile(r"^\s*(public|private|protected)\s*:(?!:)")
 CLASS_HEAD = re.compile(r"\b(class|struct)\s+(?:\[\[[^\]]*\]\]\s*)?(\w+)\s*"
                         r"(?:final\s*)?(?::[^{]*)?$")
 NAMESPACE_HEAD = re.compile(r"\bnamespace\b")
+OPEN_PAREN = re.compile(r"\s*\(")
 
 
 def strip_source(text, directives=False):
@@ -195,6 +198,31 @@ def declarations(text):
         stmt.append(c)
 
 
+def called_in(text, name):
+    """True when the stripped source `text` calls `name` (the name, then
+    `(`) inside a function or class body, not just where it is declared
+    or defined at namespace scope."""
+    stack = []  # True per open brace that opens a namespace
+    stmt = []
+    for token in re.finditer(r"[A-Za-z_]\w*|[{};]", text):
+        tok = token.group()
+        if tok == "{":
+            stack.append("namespace" in stmt or "extern" in stmt)
+            stmt = []
+        elif tok == "}":
+            if stack:
+                stack.pop()
+            stmt = []
+        elif tok == ";":
+            stmt = []
+        else:
+            if (tok == name and not all(stack)
+                    and OPEN_PAREN.match(text, token.end())):
+                return True
+            stmt.append(tok)
+    return False
+
+
 def program_files():
     for top in PROGRAM_DIRS:
         for path in sorted((ROOT / top).rglob("*")):
@@ -227,14 +255,14 @@ def main():
             unused.append((header.relative_to(ROOT), line, kind, qualified))
     unused.sort()
 
-    allowed = set()
+    allowed = {}  # symbol -> reason
     failures = 0
     if args.allowlist:
         for raw in args.allowlist.read_text().splitlines():
             entry = raw.split("#", 1)[0].strip()
             if entry:
                 symbol, _, reason = entry.partition(" ")
-                allowed.add(symbol)
+                allowed[symbol] = reason.strip()
                 if not reason.strip():
                     print(f"allowlist entry {symbol} gives no reason")
                     failures += 1
@@ -243,12 +271,21 @@ def main():
         tag = "allowed" if qualified in allowed else "UNUSED"
         failures += tag == "UNUSED"
         print(f"{path}:{line} {kind} {qualified} [{tag}]")
+        own_cpp = ROOT / path.with_suffix(".cpp")
+        if (allowed.get(qualified, "").startswith("test-only")
+                and own_cpp.is_file()
+                and called_in(strip_source(own_cpp.read_text()),
+                              qualified.split("::")[-1])):
+            print(f"allowlist entry {qualified} says test-only, but "
+                  f"{own_cpp.relative_to(ROOT)} calls it")
+            failures += 1
     reported = {qualified for *_, qualified in unused}
-    for symbol in sorted(allowed):
-        if symbol not in reported:
-            print(f"note: allowlisted {symbol} is not reported by the scan")
-    print(f"{len(unused)} unused symbol(s), {failures} not on the allowlist "
-          "or without a reason")
+    for symbol, reason in sorted(allowed.items()):
+        if symbol not in reported and not reason.startswith("field"):
+            print(f"allowlist entry {symbol} is not reported by the scan")
+            failures += 1
+    print(f"{len(unused)} unused symbol(s), {failures} not on the allowlist, "
+          "without a reason or stale")
     return 1 if failures and args.allowlist else 0
 
 
