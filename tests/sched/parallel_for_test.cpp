@@ -11,22 +11,49 @@
 namespace ldafp::sched {
 namespace {
 
-TEST(ParallelMapTest, CoversEveryIndexExactlyOnce) {
-  // n is not a multiple of any thread count here, so the cursor loops
+void expect_full_coverage(std::size_t threads, std::size_t n) {
+  std::vector<std::atomic<int>> counts(n);
+  const auto out = parallel_map(Executor::pooled(threads), n,
+                                [&](std::size_t i) {
+                                  counts[i].fetch_add(1);
+                                  return i;
+                                });
+  ASSERT_EQ(out.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(counts[i].load(), 1) << threads << " threads, index " << i;
+    ASSERT_EQ(out[i], i);
+  }
+}
+
+TEST(ParallelForTest, StaticCoversEveryIndexExactlyOnce) {
+  // 100 indices over 4 loops: an even share per loop.
+  expect_full_coverage(4, 100);
+}
+
+TEST(ParallelForTest, DynamicCoversEveryIndexExactlyOnce) {
+  // 103 is not a multiple of any thread count here, so the cursor loops
   // finish unevenly.
   for (const std::size_t threads : {2u, 3u, 4u}) {
-    const std::size_t n = 103;
-    std::vector<std::atomic<int>> counts(n);
-    const auto out = parallel_map(Executor::pooled(threads), n,
-                                  [&](std::size_t i) {
-                                    counts[i].fetch_add(1);
-                                    return i;
-                                  });
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(counts[i].load(), 1) << threads << " threads, index " << i;
-      ASSERT_EQ(out[i], i);
-    }
+    expect_full_coverage(threads, 103);
   }
+}
+
+TEST(ParallelForTest, DynamicWithCoarseGrainCoversAll) {
+  // Fewer indices than threads: only n loops are started.
+  expect_full_coverage(8, 3);
+}
+
+TEST(ParallelForTest, EmptyRangeRunsNothing) {
+  int calls = 0;
+  for (const std::size_t threads : {1u, 2u}) {
+    const auto out =
+        parallel_map(Executor::pooled(threads), 0, [&](std::size_t i) {
+          ++calls;
+          return i;
+        });
+    EXPECT_TRUE(out.empty());
+  }
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(ParallelMapTest, ResultsLandInIndexOrder) {
