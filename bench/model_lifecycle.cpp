@@ -1,5 +1,5 @@
 // Model lifecycle benchmark: serialization, streaming statistics, and
-// drift-gated hot promotion under concurrent scoring traffic.
+// hot promotion under concurrent scoring traffic.
 //
 //   serialize  encode/decode latency of the versioned .ldafp image in
 //              memory across word lengths, plus full save/load through

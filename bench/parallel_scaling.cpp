@@ -4,12 +4,20 @@
 // 5-fold CV sweep (the Table 2 BCI workload, parallel (word length ×
 // fold) fan-out), each at 1/2/4/8 threads.
 //
-// Every parallel run is checked bit-identical to the 1-thread reference
-// before its row prints — the determinism contract (DESIGN.md §9) is an
+// Each workload runs kRepetitions times at every thread count, with the
+// counts interleaved, and a speedup divides the best 1-thread time by the
+// best t-thread time: on a shared host one slow run cannot swing the
+// ratio.  The Spread column shows how far each count's runs scattered.
+//
+// Every run is checked bit-identical to the first 1-thread run before
+// the table prints — the determinism contract (DESIGN.md §9) is an
 // acceptance gate here, not an aspiration.  Speedups depend on the host
 // core count; the identity columns must read "yes" on any machine.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,13 +38,64 @@ namespace {
 using namespace ldafp;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
+constexpr std::size_t kRepetitions = 3;
 
 bool same_vector(const linalg::Vector& a, const linalg::Vector& b) {
   return a.size() == b.size() && linalg::max_abs_diff(a, b) == 0.0;
 }
 
-/// One LDA-FP training run per thread count (node-budget anytime
-/// search) with the branch-and-bound expanding nodes in parallel.
+/// Runs `run(threads)` kRepetitions times at every thread count, each
+/// repetition starting one count later than the last so no count always
+/// runs first; exits 1 unless every result is `same` as the first
+/// 1-thread one; prints the best-of-k table.  Returns that first result.
+template <typename Run, typename Same>
+auto measure(const char* tag, Run run, Same same) {
+  constexpr std::size_t kCounts = std::size(kThreadCounts);
+  std::vector<std::vector<double>> seconds(kCounts);
+  std::optional<decltype(run(std::size_t{1}))> reference;
+  for (std::size_t rep = 0; rep < kRepetitions; ++rep) {
+    for (std::size_t k = 0; k < kCounts; ++k) {
+      // The first repetition starts at 1 thread: it sets the reference.
+      const std::size_t c = (k + rep) % kCounts;
+      const std::size_t threads = kThreadCounts[c];
+      support::WallTimer timer;
+      auto result = run(threads);
+      seconds[c].push_back(timer.seconds());
+      std::fprintf(stderr, "  [%s] repetition %zu, %zu thread(s): %.3fs\n",
+                   tag, rep + 1, threads, seconds[c].back());
+      if (!reference.has_value()) {
+        reference = std::move(result);
+      } else if (!same(result, *reference)) {
+        std::fprintf(stderr,
+                     "FAIL: %zu-thread %s diverged from 1-thread\n",
+                     threads, tag);
+        std::exit(1);
+      }
+    }
+  }
+
+  support::TextTable table({"Threads", "Best (s)", "Spread", "Speedup",
+                            "Bit-identical"});
+  const double best_one =
+      *std::min_element(seconds[0].begin(), seconds[0].end());
+  for (std::size_t c = 0; c < kCounts; ++c) {
+    const auto [lo, hi] =
+        std::minmax_element(seconds[c].begin(), seconds[c].end());
+    table.add_row({std::to_string(kThreadCounts[c]),
+                   support::format_double(*lo, 3),
+                   support::format_double(100.0 * (*hi - *lo) / *lo, 0) +
+                       "%",
+                   support::format_double(best_one / *lo, 2), "yes"});
+  }
+  std::printf("%s\n", table.to_string().c_str());
+  std::printf("1-thread times over %zu repetitions:", kRepetitions);
+  for (const double t : seconds[0]) std::printf(" %.3f", t);
+  std::printf(" s\n");
+  return *reference;
+}
+
+/// LDA-FP training (node-budget anytime search) with the
+/// branch-and-bound expanding nodes in parallel.
 void bench_training(const std::string& title,
                     const data::LabeledDataset& train, int word_length,
                     const core::LdaFpOptions& base) {
@@ -49,49 +108,24 @@ void bench_training(const std::string& title,
 
   std::printf("%s\n", title.c_str());
   std::fflush(stdout);
-  core::LdaFpResult reference;
-  double reference_seconds = 0.0;
-  support::TextTable table(
-      {"Threads", "Train (s)", "Speedup", "Nodes", "Bit-identical"});
-  for (const std::size_t threads : kThreadCounts) {
-    core::LdaFpOptions options = base;
-    options.bnb.executor = sched::Executor::pooled(threads);
-    const core::LdaFpTrainer trainer(choice.format, options);
-    support::WallTimer timer;
-    const core::LdaFpResult result = trainer.train(scaled);
-    const double seconds = timer.seconds();
-
-    bool identical = true;
-    if (threads == 1) {
-      reference = result;
-      reference_seconds = seconds;
-    } else {
-      identical = result.found() == reference.found() &&
-                  result.cost == reference.cost &&
-                  result.threshold == reference.threshold &&
-                  result.search.status == reference.search.status &&
-                  result.search.nodes_processed ==
-                      reference.search.nodes_processed &&
-                  result.search.nodes_pruned ==
-                      reference.search.nodes_pruned &&
-                  result.search.gap() == reference.search.gap() &&
-                  same_vector(result.weights, reference.weights);
-      if (!identical) {
-        std::fprintf(stderr,
-                     "FAIL: %zu-thread training diverged from 1-thread\n",
-                     threads);
-        std::exit(1);
-      }
-    }
-    table.add_row({std::to_string(threads),
-                   support::format_double(seconds, 3),
-                   support::format_double(reference_seconds / seconds, 2),
-                   std::to_string(result.search.nodes_processed),
-                   identical ? "yes" : "NO"});
-    std::fprintf(stderr, "  [train] %zu thread(s): %.3fs\n", threads,
-                 seconds);
-  }
-  std::printf("%s\n", table.to_string().c_str());
+  const core::LdaFpResult reference = measure(
+      "train",
+      [&](std::size_t threads) {
+        core::LdaFpOptions options = base;
+        options.bnb.executor = sched::Executor::pooled(threads);
+        return core::LdaFpTrainer(choice.format, options).train(scaled);
+      },
+      [](const core::LdaFpResult& a, const core::LdaFpResult& b) {
+        return a.found() == b.found() && a.cost == b.cost &&
+               a.threshold == b.threshold &&
+               a.search.status == b.search.status &&
+               a.search.nodes_processed == b.search.nodes_processed &&
+               a.search.nodes_pruned == b.search.nodes_pruned &&
+               a.search.gap() == b.search.gap() &&
+               same_vector(a.weights, b.weights);
+      });
+  std::printf("%zu nodes at every thread count.\n\n",
+              reference.search.nodes_processed);
 }
 
 /// Table 1 workload: the synthetic set at W=6, 1500-node budget.
@@ -146,45 +180,28 @@ void bench_cv_sweep() {
               "(%zu features, word lengths 3-8, 30 trials)\n",
               dataset.dim());
   std::fflush(stdout);
-  std::vector<eval::CvTrialResult> reference;
-  double reference_seconds = 0.0;
-  support::TextTable table(
-      {"Threads", "Sweep (s)", "Speedup", "Bit-identical"});
-  for (const std::size_t threads : kThreadCounts) {
-    eval::ExperimentConfig run = config;
-    run.executor = sched::Executor::pooled(threads);
-    support::Rng cv_rng(17);  // same folds every thread count
-    support::WallTimer timer;
-    const auto rows = eval::run_cv_sweep(dataset, 5, run, cv_rng);
-    const double seconds = timer.seconds();
-
-    bool identical = true;
-    if (threads == 1) {
-      reference = rows;
-      reference_seconds = seconds;
-    } else {
-      identical = rows.size() == reference.size();
-      for (std::size_t i = 0; identical && i < rows.size(); ++i) {
-        identical = rows[i].word_length == reference[i].word_length &&
-                    rows[i].lda_error == reference[i].lda_error &&
-                    rows[i].ldafp_error == reference[i].ldafp_error &&
-                    rows[i].max_gap == reference[i].max_gap;
-      }
-      if (!identical) {
-        std::fprintf(stderr,
-                     "FAIL: %zu-thread sweep diverged from 1-thread\n",
-                     threads);
-        std::exit(1);
-      }
-    }
-    table.add_row({std::to_string(threads),
-                   support::format_double(seconds, 3),
-                   support::format_double(reference_seconds / seconds, 2),
-                   identical ? "yes" : "NO"});
-    std::fprintf(stderr, "  [sweep] %zu thread(s): %.3fs\n", threads,
-                 seconds);
-  }
-  std::printf("%s\n", table.to_string().c_str());
+  measure(
+      "sweep",
+      [&](std::size_t threads) {
+        eval::ExperimentConfig run = config;
+        run.executor = sched::Executor::pooled(threads);
+        support::Rng cv_rng(17);  // same folds every run
+        return eval::run_cv_sweep(dataset, 5, run, cv_rng);
+      },
+      [](const std::vector<eval::CvTrialResult>& a,
+         const std::vector<eval::CvTrialResult>& b) {
+        if (a.size() != b.size()) return false;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          if (a[i].word_length != b[i].word_length ||
+              a[i].lda_error != b[i].lda_error ||
+              a[i].ldafp_error != b[i].ldafp_error ||
+              a[i].max_gap != b[i].max_gap) {
+            return false;
+          }
+        }
+        return true;
+      });
+  std::printf("\n");
 }
 
 }  // namespace
@@ -194,7 +211,6 @@ int main() {
   bench_synthetic_training();
   bench_bci_training();
   bench_cv_sweep();
-  std::printf("All parallel rows bit-identical to the 1-thread "
-              "reference.\n");
+  std::printf("Every run bit-identical to the first 1-thread run.\n");
   return 0;
 }

@@ -15,7 +15,7 @@ int main() {
 
   const hw::PowerModel paper_rule;  // pure quadratic, the paper's model
   const hw::PowerModel with_linear(
-      hw::PowerModelOptions{1.0, 2.0});  // + adder/register term
+      hw::PowerModelOptions{.quadratic_coeff = 1.0, .linear_coeff = 2.0});
 
   std::printf("Power model — P(W) ∝ W² (paper's rule) and a "
               "quadratic+linear variant\n\n");

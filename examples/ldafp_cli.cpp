@@ -720,11 +720,9 @@ int cmd_serve(int argc, char** argv) {
   }
   std::printf("%s\n", obs::to_table(snapshot).c_str());
   if (retrainer != nullptr) {
-    std::printf("retraining: %llu retrains, %llu promotions, "
-                "%llu rollbacks (last: %s)\n",
+    std::printf("retraining: %llu retrains, %llu promotions (last: %s)\n",
                 static_cast<unsigned long long>(retrainer->retrains()),
                 static_cast<unsigned long long>(retrainer->promotions()),
-                static_cast<unsigned long long>(retrainer->rollbacks()),
                 retrainer->last_outcome().reason.c_str());
   }
   return 0;

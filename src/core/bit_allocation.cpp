@@ -11,6 +11,12 @@
 #include "support/error.h"
 
 namespace ldafp::core {
+namespace {
+
+/// Sweeps of the mixed-grid coordinate-descent polish.
+constexpr int kPolishSweeps = 40;
+
+}  // namespace
 
 MixedClassifier::MixedClassifier(fixed::MixedFormat layout,
                                  linalg::Vector weights, double threshold,
@@ -134,7 +140,7 @@ BitAllocationResult allocate_word_lengths(
   // Mixed-grid coordinate-descent polish (per-element ulp steps), with
   // the projection constraints as the feasibility gate.
   double cost = exact_cost(w, sw, diff);
-  for (int sweep = 0; sweep < options.polish_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kPolishSweeps; ++sweep) {
     bool improved = false;
     for (std::size_t m = 0; m < dim; ++m) {
       const fixed::FixedFormat fmt = result.layout.element_format(m);

@@ -56,7 +56,6 @@ struct BitAllocationOptions {
   int min_frac_bits = 0;     ///< floor for every F_m
   int max_frac_bits = 16;    ///< cap for every F_m
   double rho = 0.9999;       ///< confidence level for feasibility repair
-  int polish_sweeps = 40;    ///< mixed-grid coordinate-descent budget
   fixed::RoundingMode rounding = fixed::RoundingMode::kNearestEven;
 };
 

@@ -48,10 +48,4 @@ FormatChoice choose_format(const TrainingSet& data, int word_length,
   return choice;
 }
 
-TrainingSet apply_format(const TrainingSet& data,
-                         const FormatChoice& choice) {
-  return quantize_training_set(
-      scale_training_set(data, choice.feature_scale), choice.format);
-}
-
 }  // namespace ldafp::core

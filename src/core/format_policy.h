@@ -32,8 +32,4 @@ struct FormatChoice {
 FormatChoice choose_format(const TrainingSet& data, int word_length,
                            double beta, int integer_bits = 2);
 
-/// Applies a FormatChoice: scales the features then rounds them onto the
-/// grid (Algorithm 1 step 1).
-TrainingSet apply_format(const TrainingSet& data, const FormatChoice& choice);
-
 }  // namespace ldafp::core

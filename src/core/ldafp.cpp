@@ -23,6 +23,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTGapRatio = 4.0;
 constexpr double kMinTWidthRel = 1e-3;
 
+/// A box is terminal (exactly enumerated) when it holds at most this
+/// many grid points.
+constexpr std::int64_t kMaxEnumPoints = 2048;
+
 /// Raw grid index of a grid-aligned value (value * 2^F).
 std::int64_t grid_index(double value, const fixed::FixedFormat& fmt) {
   return static_cast<std::int64_t>(
@@ -132,13 +136,12 @@ class LdaFpSearchProblem : public opt::BnbProblem {
     for (std::size_t m = 0; m < dim_; ++m) {
       const std::int64_t count = aligned_count(box[m], fmt_);
       if (count == 0) return true;  // empty: nothing to enumerate
-      if (product > static_cast<std::int64_t>(options_.max_enum_points) /
-                        count) {
+      if (product > kMaxEnumPoints / count) {
         return false;  // saturating multiply would overflow the cap
       }
       product *= count;
     }
-    return product <= static_cast<std::int64_t>(options_.max_enum_points);
+    return product <= kMaxEnumPoints;
   }
 
   opt::NodeBounds solve_terminal(const opt::Box& box) override {
@@ -146,9 +149,7 @@ class LdaFpSearchProblem : public opt::BnbProblem {
     out.lower = kInf;
     std::vector<std::vector<double>> axes(dim_);
     for (std::size_t m = 0; m < dim_; ++m) {
-      axes[m] = fixed::grid_points(
-          box[m].lo, box[m].hi, fmt_,
-          static_cast<std::int64_t>(options_.max_enum_points));
+      axes[m] = fixed::grid_points(box[m].lo, box[m].hi, fmt_, kMaxEnumPoints);
       if (axes[m].empty()) return out;
     }
     const opt::Interval tv = box[dim_];
@@ -372,9 +373,6 @@ class LdaFpSearchProblem : public opt::BnbProblem {
 Status LdaFpOptions::validate() const {
   if (!(rho >= 0.0 && rho < 1.0)) {
     return Status::invalid("ldafp: confidence level rho must lie in [0, 1)");
-  }
-  if (max_enum_points < 1) {
-    return Status::invalid("ldafp: max_enum_points must be at least 1");
   }
   return bnb.validate();
 }

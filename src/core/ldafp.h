@@ -55,10 +55,6 @@ struct LdaFpOptions {
   /// t-branching — ablation knob).
   bool branch_t_first = true;
 
-  /// A box is terminal (exactly enumerated) when the number of grid
-  /// points it contains is at most this.
-  std::size_t max_enum_points = 2048;
-
   /// Rounding mode used for data/weight quantization.
   fixed::RoundingMode rounding = fixed::RoundingMode::kNearestEven;
 

@@ -91,7 +91,7 @@ std::optional<LocalSearchResult> polish(const linalg::Vector& start,
                                         const fixed::FixedFormat& fmt,
                                         const LocalSearchOptions& options) {
   if (!fixed::on_grid(start, fmt)) return std::nullopt;
-  if (!is_feasible_weight(start, model, beta, fmt, options.feas_tol)) {
+  if (!is_feasible_weight(start, model, beta, fmt, kPolishFeasTol)) {
     return std::nullopt;
   }
   const linalg::Vector mean_diff = model.mean_difference();
@@ -112,7 +112,7 @@ std::optional<LocalSearchResult> polish(const linalg::Vector& start,
     bounds.push_back(feasible_weight_interval(m, model, beta, fmt));
   }
 
-  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kPolishMaxSweeps; ++sweep) {
     bool improved = false;
     for (std::size_t m = 0; m < w.size(); ++m) {
       const double current = w[m];
@@ -122,8 +122,8 @@ std::optional<LocalSearchResult> polish(const linalg::Vector& start,
         const double step = res * static_cast<double>(1 << p);
         for (const double delta : {step, -step}) {
           const double cand = current + delta;
-          if (cand < bounds[m].lo - options.feas_tol ||
-              cand > bounds[m].hi + options.feas_tol) {
+          if (cand < bounds[m].lo - kPolishFeasTol ||
+              cand > bounds[m].hi + kPolishFeasTol) {
             continue;
           }
           if (cand < fmt.min_value() || cand > fmt.max_value()) continue;
@@ -134,7 +134,7 @@ std::optional<LocalSearchResult> polish(const linalg::Vector& start,
           const bool better =
               cost < best_cost &&
               satisfies_projection_constraints(w, model, beta, fmt,
-                                               options.feas_tol);
+                                               kPolishFeasTol);
           w[m] = current;
           if (!better) continue;
           best_cost = cost;

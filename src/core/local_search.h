@@ -25,11 +25,14 @@
 
 namespace ldafp::core {
 
+/// Full passes over all coordinates before the polish gives up.
+inline constexpr int kPolishMaxSweeps = 50;
+/// Slack on the polish's constraint checks.
+inline constexpr double kPolishFeasTol = 1e-9;
+
 /// Options for the polish loop.
 struct LocalSearchOptions {
-  int max_sweeps = 50;          ///< full passes over all coordinates
   int max_step_pow = 3;         ///< tries steps of ±1, ±2, ... ±2^(p-1) ulp
-  double feas_tol = 1e-9;       ///< slack on constraint checks
 };
 
 /// Result of a polish: the improved point and its exact cost.

@@ -35,8 +35,8 @@ LabeledDataset make_bci_synthetic(support::Rng& rng,
     gain[g] = options.noise_gain * std::max(jitter, 0.2);
     shift[g] = base_shift * std::max(1.0 + options.coeff_jitter *
                                                rng.gaussian(), 0.2);
-    leak[g] = options.leak * std::max(1.0 + options.coeff_jitter *
-                                                rng.gaussian(), 0.2);
+    leak[g] = kBciLeak * std::max(1.0 + options.coeff_jitter *
+                                            rng.gaussian(), 0.2);
   }
 
   LabeledDataset out;

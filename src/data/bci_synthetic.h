@@ -30,6 +30,10 @@
 
 namespace ldafp::data {
 
+/// Factor leakage into each triad's second channel (as Eq. 31's 0.001),
+/// before the per-group jitter.
+inline constexpr double kBciLeak = 0.02;
+
 /// Generator parameters (defaults match the paper's data set shape).
 struct BciOptions {
   std::size_t groups = 14;        ///< feature triads (3 × 14 = 42 features)
@@ -38,7 +42,6 @@ struct BciOptions {
   /// error match the paper's ~19-20% floor (estimation noise included).
   double target_bayes_error = 0.12;
   double noise_gain = 0.58;       ///< shared-noise coefficient (as Eq. 30)
-  double leak = 0.02;             ///< factor leakage (as Eq. 31's 0.001)
   /// Relative jitter on per-group coefficients so groups are not
   /// identical copies (drawn once per generated dataset).
   double coeff_jitter = 0.2;

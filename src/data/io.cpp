@@ -31,15 +31,4 @@ LabeledDataset load_csv(const std::string& path, bool has_header) {
   return out;
 }
 
-void save_csv(const std::string& path, const LabeledDataset& data) {
-  support::CsvTable table;
-  table.rows.reserve(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    std::vector<double> row(data.samples[i].values());
-    row.push_back(data.labels[i] == core::Label::kClassA ? 0.0 : 1.0);
-    table.rows.push_back(std::move(row));
-  }
-  support::write_csv(path, table);
-}
-
 }  // namespace ldafp::data

@@ -1,5 +1,5 @@
-// Dataset import/export as CSV (features..., label), enabling users to
-// run the trainers on their own recordings.
+// Dataset import from CSV (features..., label), enabling users to run
+// the trainers on their own recordings.
 #pragma once
 
 #include <string>
@@ -12,8 +12,5 @@ namespace ldafp::data {
 /// label cell (0 = class A, 1 = class B).  A '#' header comment and an
 /// optional header row are allowed.  Throws IoError on malformed input.
 LabeledDataset load_csv(const std::string& path, bool has_header = false);
-
-/// Writes a dataset in the same layout.  Throws IoError on failure.
-void save_csv(const std::string& path, const LabeledDataset& data);
 
 }  // namespace ldafp::data

@@ -17,7 +17,7 @@ LabeledDataset make_synthetic(std::size_t n_per_class, support::Rng& rng,
       const double e3 = rng.gaussian();
       linalg::Vector x(3);
       x[0] = shift + options.noise_gain * (e1 + e2 + e3);  // Eq. 30
-      x[1] = options.leak * e2 + e3;                       // Eq. 31
+      x[1] = kSyntheticLeak * e2 + e3;                     // Eq. 31
       x[2] = e3;                                           // Eq. 32
       out.add(std::move(x), label);
     }

@@ -16,11 +16,13 @@
 
 namespace ldafp::data {
 
+/// ε2 leakage into x2 (Eq. 31).
+inline constexpr double kSyntheticLeak = 0.001;
+
 /// Generator parameters (defaults = the paper's Eqs. 30-32).
 struct SyntheticOptions {
   double class_shift = 0.5;   ///< ±shift on x1
   double noise_gain = 0.58;   ///< shared-noise coefficient on x1
-  double leak = 0.001;        ///< ε2 leakage into x2
 };
 
 /// Draws n_per_class samples of each class.

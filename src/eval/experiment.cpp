@@ -100,18 +100,6 @@ TrialResult run_trial(const data::LabeledDataset& train,
   return row;
 }
 
-std::vector<TrialResult> run_sweep(const data::LabeledDataset& train,
-                                   const data::LabeledDataset& test,
-                                   const ExperimentConfig& config) {
-  // Each trial is a pure function of (train, test, w, config), so the
-  // fan-out is bit-deterministic at any thread count; parallel_map
-  // returns results in word-length order regardless of finish order.
-  return sched::parallel_map(
-      config.executor, config.word_lengths.size(), [&](std::size_t i) {
-        return run_trial(train, test, config.word_lengths[i], config);
-      });
-}
-
 std::vector<CvTrialResult> run_cv_sweep(const data::LabeledDataset& data,
                                         std::size_t folds,
                                         const ExperimentConfig& config,

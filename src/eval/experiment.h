@@ -41,12 +41,11 @@ struct ExperimentConfig {
   stats::CovarianceEstimator covariance =
       stats::CovarianceEstimator::kEmpirical;
 
-  /// Execution resource for the sweep harness: run_sweep and
-  /// run_cv_sweep fan their (word length × fold) trials over this
-  /// executor.  The default inline executor runs them one after another
-  /// exactly as before; a pooled executor runs them concurrently with
-  /// every reported number (errors, weights, gaps, statuses) bit-
-  /// identical to sequential execution — all randomness is drawn from
+  /// Execution resource for the sweep harness: run_cv_sweep fans its
+  /// (word length × fold) trials over this executor.  The default
+  /// inline executor runs them one after another; a pooled executor
+  /// runs them concurrently with every reported number (errors, gaps)
+  /// bit-identical to sequential execution — all randomness is drawn from
   /// the caller's Rng *before* the fan-out, trials are pure functions of
   /// their inputs, and per-fold errors are folded in fold order.  Only
   /// the timing fields differ.  Independent of `ldafp.bnb.executor`
@@ -87,11 +86,6 @@ struct TrialResult {
 TrialResult run_trial(const data::LabeledDataset& train,
                       const data::LabeledDataset& test, int word_length,
                       const ExperimentConfig& config);
-
-/// run_trial for every configured word length.
-std::vector<TrialResult> run_sweep(const data::LabeledDataset& train,
-                                   const data::LabeledDataset& test,
-                                   const ExperimentConfig& config);
 
 /// One row of a cross-validated sweep (Table 2 protocol).
 struct CvTrialResult {

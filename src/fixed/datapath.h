@@ -73,9 +73,6 @@ class Datapath {
   /// Accumulator register model used by dot().
   virtual AccumulatorMode accumulator() const = 0;
 
-  /// Stable serialization tag, to_string(kind()).
-  std::string tag() const { return to_string(kind()); }
-
   /// Quantizes a real value to this backend's nearest raw word
   /// (saturating at the representable range).  NaN throws
   /// InvalidArgumentError.

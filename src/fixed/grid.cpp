@@ -66,14 +66,4 @@ std::vector<double> grid_points(double lo, double hi, const FixedFormat& fmt,
   return out;
 }
 
-double grid_split_point(double lo, double hi, const FixedFormat& fmt) {
-  LDAFP_CHECK(lo <= hi, "grid_split_point requires lo <= hi");
-  const double mid = 0.5 * (lo + hi);
-  double snapped = grid_floor(mid, fmt);
-  // Keep the split strictly inside (lo, hi] so both children shrink.
-  if (snapped <= lo) snapped = grid_ceil(std::nextafter(lo, hi), fmt);
-  if (snapped > hi) snapped = grid_floor(hi, fmt);
-  return snapped;
-}
-
 }  // namespace ldafp::fixed

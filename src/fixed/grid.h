@@ -36,9 +36,4 @@ std::int64_t grid_count(double lo, double hi, const FixedFormat& fmt);
 std::vector<double> grid_points(double lo, double hi, const FixedFormat& fmt,
                                 std::int64_t max_points = 1 << 20);
 
-/// Midpoint of [lo, hi] snapped to the grid, biased so both halves remain
-/// non-empty when the interval spans at least two grid points.  Used as
-/// the branch-and-bound split point.
-double grid_split_point(double lo, double hi, const FixedFormat& fmt);
-
 }  // namespace ldafp::fixed

@@ -1,26 +1,23 @@
 #include "hw/power_model.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "support/error.h"
 
 namespace ldafp::hw {
+namespace {
+
+/// LNS exponent adder (the "multiplier") — one W-bit add, per bit.
+constexpr double kLnsMulCoeff = 0.4;
+/// LNS Mitchell log-adder datapath (align shift, two adds, priority
+/// encoder) + registers, per bit.
+constexpr double kLnsAddCoeff = 2.2;
+
+}  // namespace
 
 PowerModel::PowerModel(PowerModelOptions options) : options_(options) {
   LDAFP_CHECK(options_.quadratic_coeff >= 0.0 && options_.linear_coeff >= 0.0,
               "power model coefficients must be non-negative");
   LDAFP_CHECK(options_.quadratic_coeff > 0.0 || options_.linear_coeff > 0.0,
               "power model must have a positive term");
-  LDAFP_CHECK(options_.lns_mul_coeff >= 0.0 &&
-                  options_.lns_add_coeff >= 0.0 &&
-                  options_.lns_lut_coeff >= 0.0,
-              "power model coefficients must be non-negative");
-  LDAFP_CHECK(options_.lns_mul_coeff > 0.0 || options_.lns_add_coeff > 0.0 ||
-                  options_.lns_lut_coeff > 0.0,
-              "LNS power model must have a positive term");
-  LDAFP_CHECK(options_.lns_lut_cap_bits >= 0,
-              "LUT cap must be non-negative");
 }
 
 double PowerModel::power(int word_length) const {
@@ -33,14 +30,8 @@ double PowerModel::power(fixed::DatapathKind kind, int word_length) const {
   switch (kind) {
     case fixed::DatapathKind::kTwosComplement:
       return options_.quadratic_coeff * w * w + options_.linear_coeff * w;
-    case fixed::DatapathKind::kLns: {
-      const int lut_bits =
-          std::min(word_length - 1, options_.lns_lut_cap_bits);
-      const double lut = options_.lns_lut_coeff == 0.0
-                             ? 0.0
-                             : options_.lns_lut_coeff * std::exp2(lut_bits);
-      return (options_.lns_mul_coeff + options_.lns_add_coeff) * w + lut;
-    }
+    case fixed::DatapathKind::kLns:
+      return (kLnsMulCoeff + kLnsAddCoeff) * w;
   }
   throw InvalidArgumentError("power: unknown datapath kind");
 }

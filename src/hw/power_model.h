@@ -11,13 +11,11 @@
 // LNS: the multiplier collapses to a (W-1)-bit exponent adder, so the
 // MAC loses its quadratic term — cost is linear in W (exponent adder,
 // Mitchell shift-and-add log adder, registers) plus the comparison/
-// normalization logic.  Classic table-based LNS adders also carry a
-// Gaussian-log LUT that grows exponentially with the exponent's
-// fractional bits; the Mitchell adder here has none, but the model keeps
-// a capped LUT term (default coefficient 0) so table-based designs can
-// be explored with the same sweep.  Net effect: fixed wins at very
-// short words (no per-word overhead), LNS wins as W grows and the O(W²)
-// multiplier takes over — bench/lns_sweep plots the crossover.
+// normalization logic.  The Mitchell log adder modeled here needs no
+// Gaussian-log LUT, so the model has no table term.  Net effect: fixed
+// wins at very short words (no per-word overhead), LNS wins as W grows
+// and the O(W²) multiplier takes over — bench/lns_sweep plots the
+// crossover.
 #pragma once
 
 #include <cstdint>
@@ -29,21 +27,11 @@ namespace ldafp::hw {
 /// Coefficients of the per-backend power rules (arbitrary units unless
 /// calibrated; only ratios are meaningful, as in the paper):
 ///   two's complement: P(W) = quad · W² + lin · W
-///   LNS:              P(W) = (lns_add + lns_mul) · W
-///                            + lns_lut · 2^min(W-1, lns_lut_cap_bits)
+///   LNS:              P(W) = (0.4 + 2.2) · W  (exponent adder + Mitchell
+///                     log adder and registers, per bit; fixed)
 struct PowerModelOptions {
   double quadratic_coeff = 1.0;  ///< TC multiplier array term
   double linear_coeff = 0.0;     ///< TC adder/register term (0 = paper)
-  /// LNS exponent adder (the "multiplier") — one W-bit add.
-  double lns_mul_coeff = 0.4;
-  /// LNS Mitchell log-adder datapath (align shift, two adds, priority
-  /// encoder) + registers, per bit.
-  double lns_add_coeff = 2.2;
-  /// Optional Gaussian-log LUT term for table-based LNS adders
-  /// (0 = the Mitchell adder modeled here, which has no table).
-  double lns_lut_coeff = 0.0;
-  /// LUT address-width cap (designs fold the table past this).
-  int lns_lut_cap_bits = 10;
 };
 
 /// The model.

@@ -11,6 +11,9 @@
 namespace ldafp::hw {
 namespace {
 
+/// Name of the generated classifier module (the testbench appends _tb).
+constexpr char kModuleName[] = "ldafp_classifier";
+
 /// Raw word -> Verilog sized hex literal (masked to `bits`).
 std::string vhex(std::int64_t raw, int bits) {
   const auto mask = bits >= 64 ? ~std::uint64_t{0}
@@ -27,8 +30,7 @@ std::string vhex(std::int64_t raw, int bits) {
 /// add, renormalize via priority encoder) — saturating, not wrapping.
 /// Words are {sign, E-bit exponent}; the most negative exponent code is
 /// the exact-zero flag.
-std::string generate_lns_verilog(const core::FixedClassifier& clf,
-                                 const VerilogOptions& options) {
+std::string generate_lns_verilog(const core::FixedClassifier& clf) {
   const fixed::FixedFormat& fmt = clf.format();
   const fixed::LnsFormat lns = fixed::LnsFormat::matched(fmt);
   const int w_bits = lns.word_length();
@@ -47,7 +49,7 @@ std::string generate_lns_verilog(const core::FixedClassifier& clf,
   os << "// One classification every " << (m + 1)
      << " cycles: stream one feature word per x_valid cycle,\n";
   os << "// `done` pulses with `class_a` after the compare cycle.\n";
-  os << "module " << options.module_name << " (\n";
+  os << "module " << kModuleName << " (\n";
   os << "    input  wire                 clk,\n";
   os << "    input  wire                 rst,\n";
   os << "    input  wire                 x_valid,\n";
@@ -214,10 +216,9 @@ std::string generate_lns_verilog(const core::FixedClassifier& clf,
 
 }  // namespace
 
-std::string generate_classifier_verilog(const core::FixedClassifier& clf,
-                                        const VerilogOptions& options) {
+std::string generate_classifier_verilog(const core::FixedClassifier& clf) {
   if (clf.datapath_kind() == fixed::DatapathKind::kLns) {
-    return generate_lns_verilog(clf, options);
+    return generate_lns_verilog(clf);
   }
   const fixed::FixedFormat& fmt = clf.format();
   const int w_bits = fmt.word_length();
@@ -232,7 +233,7 @@ std::string generate_classifier_verilog(const core::FixedClassifier& clf,
   os << "// One classification every " << (m + 1)
      << " cycles: stream one feature word per x_valid cycle,\n";
   os << "// `done` pulses with `class_a` after the compare cycle.\n";
-  os << "module " << options.module_name << " (\n";
+  os << "module " << kModuleName << " (\n";
   os << "    input  wire                 clk,\n";
   os << "    input  wire                 rst,\n";
   os << "    input  wire                 x_valid,\n";
@@ -324,23 +325,22 @@ std::vector<GoldenVector> make_golden_vectors(
 
 std::string generate_testbench_verilog(
     const core::FixedClassifier& clf,
-    const std::vector<GoldenVector>& vectors,
-    const VerilogOptions& options) {
+    const std::vector<GoldenVector>& vectors) {
   const fixed::FixedFormat& fmt = clf.format();
   const bool lns = clf.datapath_kind() == fixed::DatapathKind::kLns;
   const int w_bits = fmt.word_length();
   const std::size_t m = clf.dim();
 
   std::ostringstream os;
-  os << "// Self-checking testbench for " << options.module_name
+  os << "// Self-checking testbench for " << kModuleName
      << " — golden outputs from the ldafp C++ datapath model.\n";
   os << "`timescale 1ns/1ps\n";
-  os << "module " << options.module_name << "_tb;\n";
+  os << "module " << kModuleName << "_tb;\n";
   os << "  reg clk = 0, rst = 1, x_valid = 0;\n";
   os << "  reg signed [" << (w_bits - 1) << ":0] x_data = 0;\n";
   os << "  wire done, class_a;\n";
   os << "  integer errors = 0;\n\n";
-  os << "  " << options.module_name
+  os << "  " << kModuleName
      << " dut (.clk(clk), .rst(rst), .x_valid(x_valid), .x_data(x_data),"
         " .done(done), .class_a(class_a));\n\n";
   os << "  always #5 clk = ~clk;\n\n";
@@ -390,24 +390,21 @@ std::string generate_testbench_verilog(
 }
 
 void save_verilog(const std::string& dir, const core::FixedClassifier& clf,
-                  const std::vector<GoldenVector>& vectors,
-                  const VerilogOptions& options) {
+                  const std::vector<GoldenVector>& vectors) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  const std::string module_path =
-      dir + "/" + options.module_name + ".v";
-  const std::string tb_path =
-      dir + "/" + options.module_name + "_tb.v";
+  const std::string module_path = dir + "/" + kModuleName + ".v";
+  const std::string tb_path = dir + "/" + kModuleName + "_tb.v";
   std::ofstream module_file(module_path);
   if (!module_file) {
     throw ldafp::IoError("verilog: cannot create '" + module_path + "'");
   }
-  module_file << generate_classifier_verilog(clf, options);
+  module_file << generate_classifier_verilog(clf);
   std::ofstream tb_file(tb_path);
   if (!tb_file) {
     throw ldafp::IoError("verilog: cannot create '" + tb_path + "'");
   }
-  tb_file << generate_testbench_verilog(clf, vectors, options);
+  tb_file << generate_testbench_verilog(clf, vectors);
 }
 
 }  // namespace ldafp::hw

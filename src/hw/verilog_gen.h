@@ -21,17 +21,10 @@
 
 namespace ldafp::hw {
 
-/// Generation knobs.
-struct VerilogOptions {
-  std::string module_name = "ldafp_classifier";
-};
-
-/// The classifier module: streams one feature word per cycle
-/// (x_valid/x_data), asserts done with the class-A decision after the
-/// compare cycle.
-std::string generate_classifier_verilog(const core::FixedClassifier& clf,
-                                        const VerilogOptions& options =
-                                            VerilogOptions{});
+/// The classifier module `ldafp_classifier`: streams one feature word
+/// per cycle (x_valid/x_data), asserts done with the class-A decision
+/// after the compare cycle.
+std::string generate_classifier_verilog(const core::FixedClassifier& clf);
 
 /// A golden input/output pair for the testbench.
 struct GoldenVector {
@@ -44,19 +37,16 @@ std::vector<GoldenVector> make_golden_vectors(
     const core::FixedClassifier& clf,
     const std::vector<linalg::Vector>& inputs);
 
-/// Self-checking testbench: drives each golden vector through the DUT
-/// and $fatals on any mismatch.
-std::string generate_testbench_verilog(const core::FixedClassifier& clf,
-                                       const std::vector<GoldenVector>&
-                                           vectors,
-                                       const VerilogOptions& options =
-                                           VerilogOptions{});
+/// Self-checking testbench module `ldafp_classifier_tb`: drives each
+/// golden vector through the DUT and $fatals on any mismatch.
+std::string generate_testbench_verilog(
+    const core::FixedClassifier& clf,
+    const std::vector<GoldenVector>& vectors);
 
-/// Writes module + testbench to `<dir>/<module>.v` and
-/// `<dir>/<module>_tb.v`.  Throws IoError on failure.
+/// Writes module + testbench to `<dir>/ldafp_classifier.v` and
+/// `<dir>/ldafp_classifier_tb.v`.  Throws IoError on failure.
 void save_verilog(const std::string& dir,
                   const core::FixedClassifier& clf,
-                  const std::vector<GoldenVector>& vectors,
-                  const VerilogOptions& options = VerilogOptions{});
+                  const std::vector<GoldenVector>& vectors);
 
 }  // namespace ldafp::hw

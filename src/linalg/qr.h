@@ -10,14 +10,11 @@
 namespace ldafp::linalg {
 
 /// A = Q R with Q orthonormal (rows x rows) and R upper trapezoidal.
-/// Requires rows() >= cols() (tall or square).
+/// Requires rows >= cols (tall or square).
 class Qr {
  public:
   /// Factors `a`.  Throws InvalidArgumentError when rows < cols.
   explicit Qr(const Matrix& a);
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
 
   /// Thin Q factor (rows x cols, orthonormal columns).
   Matrix thin_q() const;

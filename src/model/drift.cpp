@@ -3,27 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/error.h"
+
 namespace ldafp::model {
 
-Status DriftOptions::validate() const {
-  if (window < 2) return Status::invalid("drift window must be >= 2");
-  if (min_scores < 2 || min_scores > window) {
-    return Status::invalid("drift min_scores must be in [2, window]");
-  }
-  if (!(ks_threshold > 0.0) || ks_threshold > 1.0) {
-    return Status::invalid("drift ks_threshold must be in (0, 1]");
-  }
-  if (!(psi_threshold > 0.0)) {
-    return Status::invalid("drift psi_threshold must be > 0");
-  }
-  return Status();
-}
-
-DriftDetector::DriftDetector(DriftOptions options)
-    : options_(options) {
-  throw_if_error(options_.validate());
-  live_.reserve(options_.window);
-}
+DriftDetector::DriftDetector() { live_.reserve(kDriftWindow); }
 
 void DriftDetector::set_reference(std::vector<double> scores) {
   LDAFP_CHECK(!scores.empty(), "drift reference needs >= 1 score");
@@ -35,17 +19,17 @@ void DriftDetector::set_reference(std::vector<double> scores) {
   for (std::size_t d = 1; d < 10; ++d) {
     decile_edges_.push_back(reference_[d * n / 10]);
   }
-  reset_live();
+  live_.clear();
+  live_next_ = 0;
 }
 
 void DriftDetector::observe(double score) {
-  if (live_.size() < options_.window) {
+  if (live_.size() < kDriftWindow) {
     live_.push_back(score);
   } else {
     live_[live_next_] = score;
   }
-  live_next_ = (live_next_ + 1) % options_.window;
-  ++live_total_;
+  live_next_ = (live_next_ + 1) % kDriftWindow;
 }
 
 std::size_t DriftDetector::live_count() const { return live_.size(); }
@@ -116,16 +100,11 @@ double DriftDetector::psi() const {
 }
 
 bool DriftDetector::drifted() const {
-  if (reference_.empty() || live_.size() < options_.min_scores) {
+  if (reference_.empty() || live_.size() < kDriftMinScores) {
     return false;
   }
-  return ks_statistic() >= options_.ks_threshold ||
-         psi() >= options_.psi_threshold;
-}
-
-void DriftDetector::reset_live() {
-  live_.clear();
-  live_next_ = 0;
+  return ks_statistic() >= kDriftKsThreshold ||
+         psi() >= kDriftPsiThreshold;
 }
 
 void DriftDetector::publish(obs::MetricsRegistry& registry,

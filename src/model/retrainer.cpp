@@ -1,6 +1,5 @@
 #include "model/retrainer.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <limits>
 
@@ -36,7 +35,6 @@ Status RetrainerOptions::validate() const {
   if (mode != RetrainMode::kStreamingLda && mode != RetrainMode::kLdaFp) {
     return Status::invalid("unknown retrain mode");
   }
-  if (const Status s = drift.validate(); !s.ok()) return s;
   return trainer.validate();
 }
 
@@ -45,7 +43,6 @@ OnlineRetrainer::OnlineRetrainer(runtime::ModelRegistry& registry,
     : registry_(registry),
       options_(std::move(options)),
       moments_(1),  // re-sized on the first observe()
-      drift_(options_.drift),
       group_(options_.executor) {
   throw_if_error(options_.validate());
   beta_ = stats::confidence_beta(options_.trainer.rho);
@@ -59,16 +56,6 @@ runtime::ModelHandle OnlineRetrainer::bootstrap(
   std::lock_guard<std::mutex> retrain_lock(retrain_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   return install_locked(clf, std::move(provenance));
-}
-
-LoadError OnlineRetrainer::bootstrap_from_file(const std::string& path,
-                                               runtime::ModelHandle* handle) {
-  DecodeResult loaded = load_model(path);
-  if (!loaded.ok()) return loaded.error;
-  runtime::ModelHandle h =
-      bootstrap(loaded.model->classifier, loaded.model->provenance);
-  if (handle != nullptr) *handle = std::move(h);
-  return LoadError::kNone;
 }
 
 void OnlineRetrainer::observe(const linalg::Vector& x, core::Label label) {
@@ -186,7 +173,6 @@ RetrainOutcome OnlineRetrainer::retrain_now() {
     const core::LdaFpResult result = trainer.train(ts);
     if (!result.found()) {
       outcome.reason = "no-feasible";
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       bump("model.rejected");
       finish(outcome);
       return outcome;
@@ -216,7 +202,6 @@ RetrainOutcome OnlineRetrainer::retrain_now() {
     rearm_drift_locked(*candidate, holdout);
   } else {
     outcome.reason = "not-better";
-    rejected_.fetch_add(1, std::memory_order_relaxed);
     bump("model.rejected");
   }
   finish(outcome);
@@ -233,103 +218,28 @@ bool OnlineRetrainer::retrain_async() {
   return true;
 }
 
-bool OnlineRetrainer::maybe_retrain() {
-  return drift_detected() && retrain_async();
-}
-
 void OnlineRetrainer::wait() { group_.wait(); }
-
-RetrainOutcome OnlineRetrainer::rollback() {
-  std::lock_guard<std::mutex> retrain_lock(retrain_mu_);
-  RetrainOutcome outcome;
-  PromotedVersion previous;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (history_.size() < 2) {
-      outcome.reason = "no-previous-version";
-      finish_locked(outcome);
-      return outcome;
-    }
-    previous = history_[history_.size() - 2];
-  }
-  outcome.attempted = true;
-
-  // Prefer the durable file: re-decoding it re-verifies the CRC, so a
-  // rollback can never resurrect bits that rotted on disk.
-  std::optional<core::FixedClassifier> clf;
-  TrainingProvenance pv;
-  if (!previous.path.empty()) {
-    DecodeResult loaded = load_model(previous.path);
-    if (loaded.ok()) {
-      clf.emplace(std::move(loaded.model->classifier));
-      pv = std::move(loaded.model->provenance);
-    }
-  }
-  if (!clf.has_value()) {
-    const runtime::ModelHandle handle =
-        registry_.get(options_.model_name, previous.version);
-    if (handle == nullptr) {
-      outcome.reason = "previous-version-unavailable";
-      finish(outcome);
-      return outcome;
-    }
-    clf.emplace(handle->classifier);
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  const runtime::ModelHandle handle = install_locked(*clf, std::move(pv));
-  // The rollback's durable artifact is the previous version's file —
-  // those exact bits are what is serving again.
-  history_.back().path = previous.path;
-  incumbent_ = *clf;
-  rollbacks_.fetch_add(1, std::memory_order_relaxed);
-  bump("model.rollbacks");
-  outcome.promoted = true;
-  outcome.version = handle->version;
-  outcome.reason = "rolled-back";
-  // Re-arm drift against the rolled-back incumbent on whatever
-  // held-out slice the window currently has.
-  const std::size_t have = window_.size();
-  if (have > 0) {
-    const std::size_t cap = options_.window_capacity;
-    const std::size_t n = std::min(options_.holdout, have);
-    std::vector<LabeledSample> holdout;
-    holdout.reserve(n);
-    for (std::size_t c = observed_ - n; c < observed_; ++c) {
-      holdout.push_back(window_[c % cap]);
-    }
-    rearm_drift_locked(*clf, holdout);
-  } else {
-    drift_.reset_live();
-  }
-  finish_locked(outcome);
-  return outcome;
-}
 
 RetrainOutcome OnlineRetrainer::last_outcome() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_outcome_;
 }
 
-std::size_t OnlineRetrainer::window_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return window_.size();
-}
-
 runtime::ModelHandle OnlineRetrainer::install_locked(
     const core::FixedClassifier& clf, TrainingProvenance provenance) {
   const runtime::ModelHandle handle =
       registry_.install(options_.model_name, clf);
+  // Serving resolves only the latest version, and handles in flight
+  // keep theirs alive, so older versions are dead weight.
+  registry_.prune(options_.model_name);
   provenance.name = options_.model_name;
   provenance.model_version = handle->version;
-  std::string path;
   if (!options_.store_dir.empty()) {
     std::filesystem::create_directories(options_.store_dir);
-    path = options_.store_dir + "/" + options_.model_name + ".v" +
-           std::to_string(handle->version) + ".ldafp";
-    save_model(path, SavedModel{clf, provenance});
+    save_model(options_.store_dir + "/" + options_.model_name + ".v" +
+                   std::to_string(handle->version) + ".ldafp",
+               SavedModel{clf, provenance});
   }
-  history_.push_back(PromotedVersion{handle->version, std::move(path)});
   incumbent_ = clf;
   if (obs::MetricsRegistry* m = obs::metrics_of(options_.sink)) {
     m->gauge("model.version", {{"model", options_.model_name}})
@@ -369,10 +279,6 @@ void OnlineRetrainer::bump(const char* counter_name) const {
 
 void OnlineRetrainer::finish(RetrainOutcome outcome) {
   std::lock_guard<std::mutex> lock(mu_);
-  finish_locked(std::move(outcome));
-}
-
-void OnlineRetrainer::finish_locked(RetrainOutcome outcome) {
   last_outcome_ = std::move(outcome);
   if (obs::MetricsRegistry* m = obs::metrics_of(options_.sink)) {
     drift_.publish(*m, options_.model_name);

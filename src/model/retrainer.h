@@ -1,24 +1,25 @@
-// Online retraining with drift-gated hot promotion (DESIGN.md §13).
+// Online retraining with hot promotion (DESIGN.md §13).
 //
 // The orchestrator closes the loop the ROADMAP asked for: the serving
 // process keeps learning.  Labeled feedback streams into a bounded
 // sample window plus rank-1 streaming sufficient statistics
 // (stats::StreamingTwoClass); unlabeled serving scores stream into a
 // DriftDetector armed with the incumbent's held-out score
-// distribution.  When the gate fires (or a caller forces it), a
-// retrain runs — optionally in the background on the sched::Executor —
-// trains a candidate, validates it against the incumbent on the
-// held-out slice of the window, and only a candidate that is no worse
-// gets promoted: an atomic runtime::ModelRegistry install (in-flight
-// traffic keeps the snapshot it resolved; new traffic sees the new
-// version — the PR-1 RCU pattern), plus a durable versioned
-// `<store>/<name>.v<N>.ldafp` model file.  rollback() re-installs the
-// previous on-disk version as a fresh registry version, so "deploy,
-// regret, revert" is one call and the registry history stays linear.
+// distribution, whose gate callers read through drift_detected().
+// When a caller asks, a retrain runs — optionally in the background
+// on the sched::Executor — trains a candidate, validates it against
+// the incumbent on the held-out slice of the window, and only a
+// candidate that is no worse gets promoted: an atomic
+// runtime::ModelRegistry install (in-flight traffic keeps the snapshot
+// it resolved; new traffic sees the new version — the RCU pattern of
+// runtime/registry.h), plus a durable versioned
+// `<store>/<name>.v<N>.ldafp` model file.  Each install prunes the
+// registry to the version it just published, so retraining never
+// grows the registry; the store keeps every promoted version.
 //
 // Everything observable is published through the obs::Sink seam:
-// model.retrains / model.promotions / model.rejected / model.rollbacks
-// counters, model.version gauge, and the model.drift.* gauges.
+// model.retrains / model.promotions / model.rejected counters,
+// model.version gauge, and the model.drift.* gauges.
 #pragma once
 
 #include <atomic>
@@ -76,7 +77,6 @@ struct RetrainerOptions {
   /// A candidate is promoted when its held-out error is at most the
   /// incumbent's plus this slack.
   double accuracy_tolerance = 0.0;
-  DriftOptions drift;
   /// Background retrains run here; the default inline executor makes
   /// retrain_async() synchronous (deterministic tests, same results).
   sched::Executor executor;
@@ -87,7 +87,7 @@ struct RetrainerOptions {
   Status validate() const;
 };
 
-/// What one retrain attempt (or rollback) did.
+/// What one retrain attempt did.
 struct RetrainOutcome {
   bool attempted = false;       ///< a candidate was actually trained
   bool promoted = false;
@@ -95,7 +95,7 @@ struct RetrainOutcome {
   double candidate_error = -1.0;  ///< held-out error (-1 = not measured)
   double incumbent_error = -1.0;
   std::string reason;  ///< "promoted" / "not-better" / "insufficient-data" /
-                       ///< "no-feasible" / "rolled-back" / ...
+                       ///< "no-feasible"
 };
 
 /// The serving-side retraining orchestrator for one registry name.
@@ -117,12 +117,6 @@ class OnlineRetrainer {
   /// `provenance` fields name/model_version are overwritten.
   runtime::ModelHandle bootstrap(const core::FixedClassifier& clf,
                                  TrainingProvenance provenance = {});
-
-  /// Bootstrap from a saved model file (the `ldafp_cli serve
-  /// --model name=file.ldafp` path).  Returns the load error on
-  /// failure; on success installs and returns kNone.
-  LoadError bootstrap_from_file(const std::string& path,
-                                runtime::ModelHandle* handle = nullptr);
 
   /// Streams one labeled sample into the window and the streaming
   /// sufficient statistics.  Thread-safe.
@@ -147,41 +141,20 @@ class OnlineRetrainer {
   /// background retrain is already in flight (never queues a backlog).
   bool retrain_async();
 
-  /// Drift-gated trigger: retrain_async() iff drift_detected().
-  bool maybe_retrain();
-
   /// Joins the in-flight background retrain, if any.
   void wait();
 
-  /// Re-installs the previous promoted version as a fresh registry
-  /// version — preferring its durable on-disk file when a store is
-  /// configured (byte-audited reload), falling back to the in-registry
-  /// snapshot.  Fails (attempted = false) when there is no previous
-  /// version.
-  RetrainOutcome rollback();
-
-  /// Outcome of the most recent finished retrain/rollback.
+  /// Outcome of the most recent finished retrain.
   RetrainOutcome last_outcome() const;
 
   /// Lifecycle counters (also published as model.* metrics).
   std::uint64_t retrains() const { return retrains_; }
   std::uint64_t promotions() const { return promotions_; }
-  std::uint64_t rollbacks() const { return rollbacks_; }
-
-  /// Labeled samples currently windowed.
-  std::size_t window_size() const;
 
  private:
   struct LabeledSample {
     linalg::Vector x;
     core::Label label;
-  };
-
-  /// Registry versions this retrainer installed, oldest first, with
-  /// their durable files ("" when not persisted).
-  struct PromotedVersion {
-    std::uint64_t version = 0;
-    std::string path;
   };
 
   runtime::ModelHandle install_locked(const core::FixedClassifier& clf,
@@ -192,29 +165,25 @@ class OnlineRetrainer {
                           const std::vector<LabeledSample>& holdout);
   void bump(const char* counter_name) const;
   void finish(RetrainOutcome outcome);
-  void finish_locked(RetrainOutcome outcome);
 
   runtime::ModelRegistry& registry_;
   RetrainerOptions options_;
   double beta_ = 0.0;
 
-  mutable std::mutex mu_;            ///< window / moments / drift / history
+  mutable std::mutex mu_;            ///< window / moments / drift
   std::vector<LabeledSample> window_;  ///< ring: sample c at slot c % cap
   std::size_t observed_ = 0;           ///< labeled samples ever observed
   stats::StreamingTwoClass moments_;
   DriftDetector drift_;
   std::optional<core::FixedClassifier> incumbent_;
-  std::vector<PromotedVersion> history_;
   RetrainOutcome last_outcome_;
 
-  std::mutex retrain_mu_;            ///< serializes retrain/rollback bodies
+  std::mutex retrain_mu_;            ///< serializes bootstrap/retrain bodies
   std::atomic<bool> inflight_{false};
   sched::TaskGroup group_;
 
   std::atomic<std::uint64_t> retrains_{0};
   std::atomic<std::uint64_t> promotions_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> rollbacks_{0};
 };
 
 }  // namespace ldafp::model

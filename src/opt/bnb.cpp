@@ -17,6 +17,10 @@
 namespace ldafp::opt {
 namespace {
 
+/// Absolute floor of the stopping gap, beside BnbOptions::rel_gap: a
+/// search whose incumbent is near zero still stops once the bounds meet.
+constexpr double kAbsGap = 1e-9;
+
 // ---------------------------------------------------------------------------
 // Deterministic speculative parallelism.
 //
@@ -250,16 +254,8 @@ Status BnbOptions::validate() const {
   if (!(max_seconds >= 0.0)) {
     return Status::invalid("bnb: max_seconds must be non-negative");
   }
-  if (!(abs_gap >= 0.0)) {
-    return Status::invalid("bnb: abs_gap must be non-negative");
-  }
   if (!(rel_gap >= 0.0)) {
     return Status::invalid("bnb: rel_gap must be non-negative");
-  }
-  if (progress && progress_interval < 1) {
-    return Status::invalid(
-        "bnb: progress_interval must be at least 1 when a progress "
-        "callback is set");
   }
   return Status();
 }
@@ -333,7 +329,7 @@ BnbResult BnbSolver::run_search(
       return std::numeric_limits<double>::infinity();
     }
     return result.best_value -
-           std::max(options_.abs_gap,
+           std::max(kAbsGap,
                     options_.rel_gap * std::fabs(result.best_value));
   };
 
@@ -392,15 +388,6 @@ BnbResult BnbSolver::run_search(
     queue.pop();
     ++result.nodes_processed;
 
-    if (options_.progress && options_.progress_interval > 0 &&
-        result.nodes_processed % options_.progress_interval == 0) {
-      BnbResult snapshot = result;
-      snapshot.best_point.reset();  // keep snapshots cheap
-      snapshot.lower_bound = std::min(node.lower, result.best_value);
-      snapshot.seconds = timer.seconds();
-      options_.progress(snapshot);
-    }
-
     // Best-first invariant: the queue head carries the global lower
     // bound.  If it cannot beat the incumbent, the search is done.
     if (node.lower > prune_threshold()) {
@@ -440,11 +427,6 @@ BnbResult BnbSolver::run_search(
   result.status = result.best_point.has_value() ? BnbStatus::kOptimal
                                                 : BnbStatus::kNoSolution;
   result.seconds = timer.seconds();
-  if (options_.progress) {
-    BnbResult snapshot = result;
-    snapshot.best_point.reset();
-    options_.progress(snapshot);
-  }
   return result;
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -129,17 +128,9 @@ class BnbProblem {
 struct BnbOptions {
   std::size_t max_nodes = 200000;
   double max_seconds = std::numeric_limits<double>::infinity();
-  /// Stop when best_value - global_lower_bound <= abs_gap ...
-  double abs_gap = 1e-9;
-  /// ... or <= rel_gap * |best_value|.
+  /// Stop when best_value - global_lower_bound <= rel_gap * |best_value|
+  /// (or <= an absolute floor of 1e-9, so a zero incumbent still stops).
   double rel_gap = 1e-6;
-  /// When set, called with a progress snapshot every `progress_interval`
-  /// processed nodes (and once at exit).  The snapshot's lower_bound is
-  /// the live global bound; best_point is omitted to keep snapshots
-  /// cheap.  Long searches (the paper's ran for up to ~50 minutes) use
-  /// this for anytime reporting.
-  std::function<void(const struct BnbResult&)> progress;
-  std::size_t progress_interval = 1000;
   /// Execution resource for node expansions.  The default inline
   /// executor reproduces the single-threaded search exactly.  A pooled
   /// executor expands frontier nodes speculatively on the workers while

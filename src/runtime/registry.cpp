@@ -1,5 +1,6 @@
 #include "runtime/registry.h"
 
+#include <iterator>
 #include <mutex>
 #include <utility>
 
@@ -34,32 +35,18 @@ ModelHandle ModelRegistry::get(std::string_view name) const {
   return it->second.rbegin()->second;
 }
 
-ModelHandle ModelRegistry::get(std::string_view name,
-                               std::uint64_t version) const {
-  std::shared_lock lock(mu_);
-  const auto it = models_.find(name);
-  if (it == models_.end()) return nullptr;
-  const auto vit = it->second.find(version);
-  return vit == it->second.end() ? nullptr : vit->second;
-}
-
 bool ModelRegistry::remove(const std::string& name) {
   std::unique_lock lock(mu_);
   return models_.erase(name) > 0;
 }
 
-std::size_t ModelRegistry::prune(const std::string& name,
-                                 std::size_t keep_latest) {
-  if (keep_latest == 0) keep_latest = 1;
+std::size_t ModelRegistry::prune(const std::string& name) {
   std::unique_lock lock(mu_);
   const auto it = models_.find(name);
-  if (it == models_.end()) return 0;
+  if (it == models_.end() || it->second.empty()) return 0;
   auto& versions = it->second;
-  std::size_t dropped = 0;
-  while (versions.size() > keep_latest) {
-    versions.erase(versions.begin());
-    ++dropped;
-  }
+  const std::size_t dropped = versions.size() - 1;
+  versions.erase(versions.begin(), std::prev(versions.end()));
   return dropped;
 }
 

@@ -74,16 +74,15 @@ class ModelRegistry {
   /// wire-decoded names without materializing a std::string.
   ModelHandle get(std::string_view name) const;
 
-  /// Specific version of `name`; nullptr when absent.
-  ModelHandle get(std::string_view name, std::uint64_t version) const;
-
   /// Drops all versions of `name`.  In-flight handles stay valid; true
   /// when the name existed.
   bool remove(const std::string& name);
 
-  /// Drops versions of `name` older than the latest, keeping
-  /// `keep_latest` of them (>= 1).  Returns how many were dropped.
-  std::size_t prune(const std::string& name, std::size_t keep_latest = 1);
+  /// Drops every version of `name` but the latest (OnlineRetrainer
+  /// calls it after each install).  In-flight handles stay valid, and
+  /// the next install still takes the next version number.  Returns
+  /// how many were dropped.
+  std::size_t prune(const std::string& name);
 
   /// One row per installed name.
   std::vector<ModelInfo> list() const;

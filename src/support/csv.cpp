@@ -62,20 +62,4 @@ CsvTable read_csv(const std::string& path, bool has_header) {
   return parse_csv(buffer.str(), has_header);
 }
 
-void write_csv(const std::string& path, const CsvTable& table, int digits) {
-  std::ofstream file(path);
-  if (!file) throw IoError("csv: cannot create '" + path + "'");
-  if (!table.header.empty()) {
-    file << join(table.header, ",") << '\n';
-  }
-  for (const auto& row : table.rows) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i != 0) file << ',';
-      file << format_double(row[i], digits);
-    }
-    file << '\n';
-  }
-  if (!file) throw IoError("csv: write failed for '" + path + "'");
-}
-
 }  // namespace ldafp::support

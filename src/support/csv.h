@@ -1,4 +1,4 @@
-// Minimal CSV reader/writer for dataset import/export.
+// Minimal CSV reader for dataset import.
 //
 // Supports the subset of CSV our datasets need: comma separation, optional
 // header row, '#'-prefixed comment lines, no quoting.  All cells in data
@@ -30,10 +30,5 @@ CsvTable read_csv(const std::string& path, bool has_header);
 
 /// Parses CSV content from a string (same rules as read_csv).
 CsvTable parse_csv(const std::string& content, bool has_header);
-
-/// Writes a table to `path`.  Throws IoError when the file cannot be
-/// created.  `digits` controls printed precision.
-void write_csv(const std::string& path, const CsvTable& table,
-               int digits = 9);
 
 }  // namespace ldafp::support

@@ -63,7 +63,8 @@ TEST(FormatPolicyTest, UpscalesSmallFeatures) {
 TEST(FormatPolicyTest, ApplyFormatQuantizesOntoGrid) {
   const TrainingSet data = two_point_set(0.777, -0.333);
   const FormatChoice choice = choose_format(data, 6, 1.0, 2);
-  const TrainingSet ready = apply_format(data, choice);
+  const TrainingSet ready = quantize_training_set(
+      scale_training_set(data, choice.feature_scale), choice.format);
   for (const auto& x : ready.class_a) {
     EXPECT_TRUE(fixed::on_grid(x, choice.format));
   }

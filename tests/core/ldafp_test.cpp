@@ -78,7 +78,6 @@ LdaFpOptions tight_options() {
   options.bnb.max_nodes = 50000;
   options.bnb.max_seconds = 30.0;
   options.bnb.rel_gap = 1e-9;
-  options.bnb.abs_gap = 1e-12;
   return options;
 }
 
@@ -228,7 +227,6 @@ TEST(LdaFpTest, OptionsValidateRejectsEachBadKnob) {
   EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.rho = 1.0; }));
   EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.rho = -0.1; }));
   EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.rho = std::nan(""); }));
-  EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.max_enum_points = 0; }));
   // Nested options are validated through the same entry point.
   EXPECT_TRUE(rejects([](LdaFpOptions& o) { o.bnb.max_nodes = 0; }));
 

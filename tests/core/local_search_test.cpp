@@ -85,12 +85,10 @@ TEST(LocalSearchTest, SweepBudgetRespected) {
   const auto model = benign_model();
   const Matrix sw = model.within_class_scatter();
   const fixed::FixedFormat fmt(2, 6);
-  LocalSearchOptions options;
-  options.max_sweeps = 1;
-  const auto result = polish(Vector{0.25, 0.5}, sw, model, 2.0, fmt,
-                             options);
+  const auto result = polish(Vector{0.25, 0.5}, sw, model, 2.0, fmt);
   ASSERT_TRUE(result.has_value());
-  EXPECT_LE(result->sweeps, 1);
+  EXPECT_GE(result->sweeps, 1);
+  EXPECT_LE(result->sweeps, kPolishMaxSweeps);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,7 +164,6 @@ PolishCase make_case(int trial, support::Rng& rng) {
       stats::GaussianModel(mu_b, linalg::random_spd(n, 1e-3, 0.05, rng))};
   c.beta = rng.uniform(0.0, 3.0);
   c.options.max_step_pow = 1 + trial % 5;
-  if (trial % 7 == 0) c.options.max_sweeps = 2;
 
   switch (trial % 5) {
     case 0: c.sw = c.model.within_class_scatter(); c.label = "model"; break;
@@ -317,7 +314,6 @@ TEST(PolishAllocCountTest, SteadyStatePolishAllocatesNothingPerCandidate) {
   for (std::size_t m = 1; m < n; ++m) start[m] = (m % 2 == 0) ? 0.25 : -0.25;
 
   LocalSearchOptions small;
-  small.max_sweeps = 1;
   small.max_step_pow = 1;
   LocalSearchOptions large;
   large.max_step_pow = 5;
@@ -334,9 +330,9 @@ TEST(PolishAllocCountTest, SteadyStatePolishAllocatesNothingPerCandidate) {
     return linalg::linalg_alloc_count().load(std::memory_order_relaxed) -
            before;
   };
-  const std::uint64_t one_sweep = count(small);
+  const std::uint64_t one_step = count(small);
   const std::uint64_t full = count(large);
-  EXPECT_EQ(full, one_sweep);
+  EXPECT_EQ(full, one_step);
   EXPECT_LE(full, 3u);
 }
 

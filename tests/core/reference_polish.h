@@ -24,7 +24,7 @@ inline std::optional<LocalSearchResult> reference_polish(
     const LocalSearchOptions& options = LocalSearchOptions{},
     std::uint64_t* beating = nullptr) {
   if (!fixed::on_grid(start, fmt)) return std::nullopt;
-  if (!is_feasible_weight(start, model, beta, fmt, options.feas_tol)) {
+  if (!is_feasible_weight(start, model, beta, fmt, kPolishFeasTol)) {
     return std::nullopt;
   }
   const linalg::Vector mean_diff = model.mean_difference();
@@ -40,7 +40,7 @@ inline std::optional<LocalSearchResult> reference_polish(
     bounds.push_back(feasible_weight_interval(m, model, beta, fmt));
   }
 
-  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kPolishMaxSweeps; ++sweep) {
     bool improved = false;
     for (std::size_t m = 0; m < result.weights.size(); ++m) {
       double best_value = result.weights[m];
@@ -49,8 +49,8 @@ inline std::optional<LocalSearchResult> reference_polish(
         const double step = res * static_cast<double>(1 << p);
         for (const double delta : {step, -step}) {
           const double cand = result.weights[m] + delta;
-          if (cand < bounds[m].lo - options.feas_tol ||
-              cand > bounds[m].hi + options.feas_tol) {
+          if (cand < bounds[m].lo - kPolishFeasTol ||
+              cand > bounds[m].hi + kPolishFeasTol) {
             continue;
           }
           if (cand < fmt.min_value() || cand > fmt.max_value()) continue;
@@ -61,7 +61,7 @@ inline std::optional<LocalSearchResult> reference_polish(
           if (cost >= best_cost) continue;
           if (beating != nullptr) ++*beating;
           if (!satisfies_projection_constraints(w, model, beta, fmt,
-                                                options.feas_tol)) {
+                                                kPolishFeasTol)) {
             continue;
           }
           best_cost = cost;

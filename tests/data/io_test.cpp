@@ -11,18 +11,14 @@ namespace ldafp::data {
 namespace {
 
 using core::Label;
-using linalg::Vector;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
-TEST(DataIoTest, SaveLoadRoundTrip) {
-  LabeledDataset data;
-  data.add(Vector{1.5, -2.0}, Label::kClassA);
-  data.add(Vector{0.25, 3.0}, Label::kClassB);
+TEST(DataIoTest, LoadReadsFeaturesAndLabels) {
   const std::string path = temp_path("dataset_roundtrip.csv");
-  save_csv(path, data);
+  std::ofstream(path) << "1.5,-2,0\n0.25,3,1\n";
   const LabeledDataset back = load_csv(path);
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back.labels[0], Label::kClassA);

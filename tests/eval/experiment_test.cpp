@@ -36,9 +36,9 @@ TEST(ExperimentTest, TrialProducesConsistentRow) {
 
 TEST(ExperimentTest, SweepCoversAllWordLengths) {
   support::Rng rng(2);
-  const auto train = data::make_synthetic(300, rng);
-  const auto test = data::make_synthetic(300, rng);
-  const auto rows = run_sweep(train, test, quick_config());
+  const auto data = data::make_synthetic(40, rng);  // 80 samples
+  support::Rng cv_rng(3);
+  const auto rows = run_cv_sweep(data, 2, quick_config(), cv_rng);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].word_length, 4);
   EXPECT_EQ(rows[1].word_length, 8);

@@ -59,18 +59,5 @@ TEST(GridTest, PointsCapGuard) {
                ldafp::InvalidArgumentError);
 }
 
-TEST(GridTest, SplitPointInsideInterval) {
-  const double p = grid_split_point(-1.0, 1.0, kQ22);
-  EXPECT_GT(p, -1.0);
-  EXPECT_LE(p, 1.0);
-  EXPECT_TRUE(kQ22.representable(p));
-}
-
-TEST(GridTest, SplitPointOnNarrowInterval) {
-  // Interval containing exactly two grid points splits between them.
-  const double p = grid_split_point(0.25, 0.5, kQ22);
-  EXPECT_TRUE(p == 0.25 || p == 0.5);
-}
-
 }  // namespace
 }  // namespace ldafp::fixed

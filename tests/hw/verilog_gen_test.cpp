@@ -48,12 +48,14 @@ TEST(VerilogGenTest, ZeroFracBitsOmitsRoundingLogic) {
   EXPECT_NE(v.find("F = 0: no rounding"), std::string::npos);
 }
 
-TEST(VerilogGenTest, CustomModuleName) {
-  VerilogOptions options;
-  options.module_name = "bci_decoder_core";
-  const std::string v =
-      generate_classifier_verilog(sample_classifier(), options);
-  EXPECT_NE(v.find("module bci_decoder_core"), std::string::npos);
+TEST(VerilogGenTest, ModuleNameIsLdafpClassifier) {
+  const core::FixedClassifier clf = sample_classifier();
+  EXPECT_NE(generate_classifier_verilog(clf).find("module ldafp_classifier ("),
+            std::string::npos);
+  const std::string tb = generate_testbench_verilog(
+      clf, make_golden_vectors(clf, {Vector{0.5, -0.25, 1.0}}));
+  EXPECT_NE(tb.find("module ldafp_classifier_tb;"), std::string::npos);
+  EXPECT_NE(tb.find("  ldafp_classifier dut ("), std::string::npos);
 }
 
 TEST(VerilogGenTest, GoldenVectorsMatchCppModel) {

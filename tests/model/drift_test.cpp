@@ -19,34 +19,8 @@ std::vector<double> gaussian_scores(std::size_t n, double mean,
   return out;
 }
 
-DriftOptions small_options() {
-  DriftOptions options;
-  options.window = 128;
-  options.min_scores = 32;
-  return options;
-}
-
-TEST(DriftOptionsTest, Validation) {
-  EXPECT_TRUE(DriftOptions{}.validate().ok());
-  DriftOptions bad;
-  bad.window = 1;
-  EXPECT_FALSE(bad.validate().ok());
-  bad = {};
-  bad.min_scores = 1;
-  EXPECT_FALSE(bad.validate().ok());
-  bad = {};
-  bad.min_scores = bad.window + 1;
-  EXPECT_FALSE(bad.validate().ok());
-  bad = {};
-  bad.ks_threshold = 0.0;
-  EXPECT_FALSE(bad.validate().ok());
-  bad = {};
-  bad.psi_threshold = -0.1;
-  EXPECT_FALSE(bad.validate().ok());
-}
-
 TEST(DriftDetectorTest, IdenticalDistributionDoesNotDrift) {
-  DriftDetector detector(small_options());
+  DriftDetector detector;
   detector.set_reference(gaussian_scores(512, 0.0, 1.0, 1));
   for (const double s : gaussian_scores(128, 0.0, 1.0, 2)) {
     detector.observe(s);
@@ -57,7 +31,7 @@ TEST(DriftDetectorTest, IdenticalDistributionDoesNotDrift) {
 }
 
 TEST(DriftDetectorTest, ShiftedDistributionDrifts) {
-  DriftDetector detector(small_options());
+  DriftDetector detector;
   detector.set_reference(gaussian_scores(512, 0.0, 1.0, 3));
   for (const double s : gaussian_scores(128, 2.5, 1.0, 4)) {
     detector.observe(s);
@@ -68,10 +42,10 @@ TEST(DriftDetectorTest, ShiftedDistributionDrifts) {
 }
 
 TEST(DriftDetectorTest, NeedsMinScoresBeforeFiring) {
-  DriftDetector detector(small_options());
+  DriftDetector detector;
   detector.set_reference(gaussian_scores(512, 0.0, 1.0, 5));
-  // Wildly shifted, but below min_scores: the gate must stay closed.
-  for (const double s : gaussian_scores(31, 10.0, 0.1, 6)) {
+  // Wildly shifted, but below kDriftMinScores: the gate must stay closed.
+  for (const double s : gaussian_scores(kDriftMinScores - 1, 10.0, 0.1, 6)) {
     detector.observe(s);
   }
   EXPECT_FALSE(detector.drifted());
@@ -90,9 +64,9 @@ TEST(DriftDetectorTest, KsStatisticMatchesHandComputedValue) {
 }
 
 TEST(DriftDetectorTest, SetReferenceResetsLiveWindow) {
-  DriftDetector detector(small_options());
+  DriftDetector detector;
   detector.set_reference(gaussian_scores(256, 0.0, 1.0, 7));
-  for (const double s : gaussian_scores(64, 5.0, 1.0, 8)) {
+  for (const double s : gaussian_scores(kDriftMinScores, 5.0, 1.0, 8)) {
     detector.observe(s);
   }
   EXPECT_TRUE(detector.drifted());
@@ -102,33 +76,24 @@ TEST(DriftDetectorTest, SetReferenceResetsLiveWindow) {
 }
 
 TEST(DriftDetectorTest, LiveWindowIsARing) {
-  DriftOptions options;
-  options.window = 16;
-  options.min_scores = 8;
-  // With only 16 live samples the KS statistic can reach ~0.3 by
-  // chance even when the distributions match; loosen the thresholds so
-  // this test exercises the ring, not small-sample noise.  The shifted
-  // flood below still clears them by a wide margin (KS ~ 1.0).
-  options.ks_threshold = 0.6;
-  options.psi_threshold = 2.0;
-  DriftDetector detector(options);
-  detector.set_reference(gaussian_scores(256, 0.0, 1.0, 10));
+  DriftDetector detector;
+  detector.set_reference(gaussian_scores(1024, 0.0, 1.0, 10));
   // Flood with shifted scores, then overwrite the ring with matching
-  // ones: only the newest `window` scores should matter.
-  for (const double s : gaussian_scores(64, 8.0, 1.0, 11)) {
+  // ones: only the newest kDriftWindow scores should matter.
+  for (const double s : gaussian_scores(2 * kDriftWindow, 8.0, 1.0, 11)) {
     detector.observe(s);
   }
   EXPECT_TRUE(detector.drifted());
-  for (const double s : gaussian_scores(16, 0.0, 1.0, 12)) {
+  for (const double s : gaussian_scores(kDriftWindow, 0.0, 1.0, 12)) {
     detector.observe(s);
   }
-  EXPECT_EQ(detector.live_count(), 16u);
+  EXPECT_EQ(detector.live_count(), kDriftWindow);
   EXPECT_FALSE(detector.drifted());
 }
 
 TEST(DriftDetectorTest, PublishExportsGauges) {
   obs::MetricsRegistry registry;
-  DriftDetector detector(small_options());
+  DriftDetector detector;
   detector.set_reference(gaussian_scores(256, 0.0, 1.0, 13));
   for (const double s : gaussian_scores(40, 0.5, 1.0, 14)) {
     detector.observe(s);

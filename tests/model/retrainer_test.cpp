@@ -1,6 +1,6 @@
 // Online retraining orchestration: candidate validation against the
-// incumbent on the held-out window slice, drift-gated triggering,
-// durable versioned promotion, and rollback to the previous version.
+// incumbent on the held-out window slice, the drift gate, durable
+// versioned promotion, and a registry pruned to the serving version.
 #include "model/retrainer.h"
 
 #include <gtest/gtest.h>
@@ -118,7 +118,6 @@ TEST(RetrainerTest, PromotesCandidateThatBeatsIncumbent) {
   retrainer.bootstrap(bad_incumbent());
   support::Rng rng(101);
   feed(retrainer, rng, 200);
-  ASSERT_EQ(retrainer.window_size(), 200u);
 
   const RetrainOutcome outcome = retrainer.retrain_now();
   EXPECT_TRUE(outcome.attempted);
@@ -184,95 +183,7 @@ TEST(RetrainerTest, LdaFpModeTrainsAndPromotes) {
   EXPECT_LT(outcome.candidate_error, outcome.incumbent_error);
 }
 
-TEST(RetrainerTest, RollbackRestoresPreviousBits) {
-  runtime::ModelRegistry registry;
-  OnlineRetrainer retrainer(registry, small_options());
-  const core::FixedClassifier v1 = bad_incumbent();
-  retrainer.bootstrap(v1);
-  support::Rng rng(505);
-  feed(retrainer, rng, 200);
-  ASSERT_TRUE(retrainer.retrain_now().promoted);
-  ASSERT_EQ(registry.get("test")->version, 2u);
-
-  const RetrainOutcome rolled = retrainer.rollback();
-  EXPECT_TRUE(rolled.attempted);
-  EXPECT_TRUE(rolled.promoted);
-  EXPECT_EQ(rolled.reason, "rolled-back");
-  EXPECT_EQ(rolled.version, 3u);  // a fresh version, linear history
-  EXPECT_EQ(retrainer.rollbacks(), 1u);
-
-  const runtime::ModelHandle latest = registry.get("test");
-  ASSERT_NE(latest, nullptr);
-  EXPECT_EQ(latest->version, 3u);
-  for (std::size_t i = 0; i < v1.dim(); ++i) {
-    EXPECT_EQ(latest->classifier.weight_words()[i], v1.weight_words()[i]);
-  }
-  EXPECT_EQ(latest->classifier.threshold_raw(), v1.threshold_raw());
-}
-
-// Rolling back to an LNS incumbent loaded from a model file re-arms the
-// drift gate with that incumbent's own datapath projections.
-TEST(RetrainerTest, RollbackToLnsIncumbentRearmsDrift) {
-  const std::string path = testing::TempDir() + "retrainer_lns_test.ldafp";
-  const core::FixedClassifier lns(
-      fixed::FixedFormat(3, 3), Vector{0.5, 0.5, 0.5}, 0.0,
-      fixed::RoundingMode::kNearestEven, fixed::AccumulatorMode::kWide,
-      fixed::DatapathKind::kLns);
-  save_model(path, SavedModel{lns, TrainingProvenance{}});
-
-  runtime::ModelRegistry registry;
-  RetrainerOptions options = small_options();
-  options.accuracy_tolerance = 1.0;  // promote whatever retrains
-  options.drift.window = 64;
-  options.drift.min_scores = 32;
-  options.drift.ks_threshold = 0.6;
-  options.drift.psi_threshold = 2.0;
-  OnlineRetrainer retrainer(registry, options);
-  ASSERT_EQ(retrainer.bootstrap_from_file(path), LoadError::kNone);
-  support::Rng rng(909);
-  feed(retrainer, rng, 200);
-  ASSERT_TRUE(retrainer.retrain_now().promoted);
-
-  RetrainOutcome rolled;
-  ASSERT_NO_THROW(rolled = retrainer.rollback());
-  EXPECT_TRUE(rolled.promoted);
-  EXPECT_EQ(rolled.reason, "rolled-back");
-  const runtime::ModelHandle latest = registry.get("test");
-  ASSERT_NE(latest, nullptr);
-  const core::FixedClassifier& clf = latest->classifier;
-  ASSERT_EQ(clf.datapath_kind(), fixed::DatapathKind::kLns);
-  EXPECT_EQ(clf.weight_words(), lns.weight_words());
-  EXPECT_EQ(clf.threshold_raw(), lns.threshold_raw());
-
-  // Scores of the rolled-back LNS incumbent match the re-armed
-  // reference; a shifted stream trips the gate.
-  for (std::size_t i = 0; i < 40; ++i) {
-    const core::Label truth =
-        (i % 2 == 0) ? core::Label::kClassA : core::Label::kClassB;
-    retrainer.observe_score(clf.datapath().to_real(
-        clf.project_raw(draw_sample(rng, truth, 1.0))));
-  }
-  EXPECT_FALSE(retrainer.drift_detected());
-  for (std::size_t i = 0; i < 64; ++i) {
-    retrainer.observe_score(5.0 + 0.01 * static_cast<double>(i));
-  }
-  EXPECT_TRUE(retrainer.drift_detected());
-  std::remove(path.c_str());
-  std::remove((path + ".json").c_str());
-}
-
-TEST(RetrainerTest, RollbackWithoutPreviousVersionFails) {
-  runtime::ModelRegistry registry;
-  OnlineRetrainer retrainer(registry, small_options());
-  retrainer.bootstrap(good_incumbent());
-  const RetrainOutcome outcome = retrainer.rollback();
-  EXPECT_FALSE(outcome.attempted);
-  EXPECT_FALSE(outcome.promoted);
-  EXPECT_EQ(outcome.reason, "no-previous-version");
-  EXPECT_EQ(retrainer.rollbacks(), 0u);
-}
-
-TEST(RetrainerTest, StoreWritesVersionedFilesAndRollbackReloadsThem) {
+TEST(RetrainerTest, StoreWritesVersionedFiles) {
   const std::string store =
       testing::TempDir() + "retrainer_store_test";
   std::filesystem::remove_all(store);
@@ -287,78 +198,67 @@ TEST(RetrainerTest, StoreWritesVersionedFilesAndRollbackReloadsThem) {
   feed(retrainer, rng, 200);
   ASSERT_TRUE(retrainer.retrain_now().promoted);
   EXPECT_TRUE(std::filesystem::exists(store + "/durable.v2.ldafp"));
+  // The registry keeps only v2; the store keeps both versions.
+  EXPECT_TRUE(std::filesystem::exists(store + "/durable.v1.ldafp"));
 
   // The v2 file decodes back to the exact serving bits.
   const DecodeResult loaded = load_model(store + "/durable.v2.ldafp");
   ASSERT_TRUE(loaded.ok());
-  const runtime::ModelHandle v2 = registry.get("durable", 2);
+  const runtime::ModelHandle v2 = registry.get("durable");
   ASSERT_NE(v2, nullptr);
+  ASSERT_EQ(v2->version, 2u);
   for (std::size_t i = 0; i < v2->classifier.dim(); ++i) {
     EXPECT_EQ(loaded.model->classifier.weight_words()[i],
               v2->classifier.weight_words()[i]);
   }
   EXPECT_EQ(loaded.model->provenance.model_version, 2u);
-
-  // Rollback prefers the on-disk v1 even after the registry pruned it.
-  registry.prune("durable", 1);
-  ASSERT_EQ(registry.get("durable", 1), nullptr);
-  const RetrainOutcome rolled = retrainer.rollback();
-  EXPECT_TRUE(rolled.promoted);
-  const runtime::ModelHandle latest = registry.get("durable");
-  const core::FixedClassifier v1 = bad_incumbent();
-  for (std::size_t i = 0; i < v1.dim(); ++i) {
-    EXPECT_EQ(latest->classifier.weight_words()[i], v1.weight_words()[i]);
-  }
   std::filesystem::remove_all(store);
 }
 
-TEST(RetrainerTest, BootstrapFromFileRoundTrips) {
-  const std::string path =
-      testing::TempDir() + "retrainer_bootstrap_test.ldafp";
-  const core::FixedClassifier clf = good_incumbent();
-  TrainingProvenance pv;
-  pv.feature_scale = 0.5;
-  save_model(path, SavedModel{clf, pv});
-
+// Every promotion installs a new version and prunes the older ones, so
+// the registry holds one version per name however often it retrains,
+// while version numbers keep counting and a held handle stays valid.
+TEST(RetrainerTest, PromotionsKeepOneRegistryVersion) {
   runtime::ModelRegistry registry;
-  OnlineRetrainer retrainer(registry, small_options());
-  runtime::ModelHandle handle;
-  EXPECT_EQ(retrainer.bootstrap_from_file(path, &handle),
-            LoadError::kNone);
-  ASSERT_NE(handle, nullptr);
-  EXPECT_EQ(handle->version, 1u);
-  for (std::size_t i = 0; i < clf.dim(); ++i) {
-    EXPECT_EQ(handle->classifier.weight_words()[i], clf.weight_words()[i]);
+  RetrainerOptions options = small_options();
+  options.accuracy_tolerance = 1.0;  // promote whatever retrains
+  OnlineRetrainer retrainer(registry, options);
+  const runtime::ModelHandle first = retrainer.bootstrap(bad_incumbent());
+  support::Rng rng(1001);
+  feed(retrainer, rng, 200);
+  constexpr std::uint64_t kPromotions = 4;
+  for (std::uint64_t k = 0; k < kPromotions; ++k) {
+    ASSERT_TRUE(retrainer.retrain_now().promoted);
   }
-
-  OnlineRetrainer other(registry, small_options("other"));
-  EXPECT_EQ(other.bootstrap_from_file(testing::TempDir() +
-                                      "no_such_model.ldafp"),
-            LoadError::kIo);
-  std::remove(path.c_str());
-  std::remove((path + ".json").c_str());
+  const std::vector<runtime::ModelInfo> rows = registry.list();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].version_count, 1u);
+  EXPECT_EQ(rows[0].latest_version, 1 + kPromotions);
+  EXPECT_EQ(registry.get("test")->version, 1 + kPromotions);
+  EXPECT_EQ(first->version, 1u);
+  EXPECT_EQ(first->classifier.weight_words(),
+            bad_incumbent().weight_words());
 }
 
 TEST(RetrainerTest, DriftGateArmsAfterPromotionAndTriggersRetrain) {
   runtime::ModelRegistry registry;
   RetrainerOptions options = small_options();
-  options.drift.window = 64;
-  options.drift.min_scores = 32;
-  // Small-sample KS between a 32-score reference and a matching live
-  // stream can reach ~0.3 by chance; thresholds sized so only the
+  // The promotion-time reference is the held-out slice's scores.  With
+  // kDriftWindow matching live scores against a reference this large,
+  // chance KS and PSI stay far below the drift thresholds; only the
   // genuinely shifted stream below trips the gate.
-  options.drift.ks_threshold = 0.6;
-  options.drift.psi_threshold = 2.0;
+  options.window_capacity = 2048;
+  options.holdout = kDriftWindow;
   OnlineRetrainer retrainer(registry, options);
   retrainer.bootstrap(bad_incumbent());
   support::Rng rng(707);
-  feed(retrainer, rng, 200);
+  feed(retrainer, rng, 1200);
   ASSERT_TRUE(retrainer.retrain_now().promoted);
 
   // Scores matching the promotion-time reference: no drift.
   EXPECT_FALSE(retrainer.drift_detected());
   const runtime::ModelHandle latest = registry.get("test");
-  for (std::size_t i = 0; i < 40; ++i) {
+  for (std::size_t i = 0; i < kDriftWindow; ++i) {
     const core::Label truth =
         (i % 2 == 0) ? core::Label::kClassA : core::Label::kClassB;
     const core::FixedClassifier& clf = latest->classifier;
@@ -366,16 +266,15 @@ TEST(RetrainerTest, DriftGateArmsAfterPromotionAndTriggersRetrain) {
         clf.project_raw(draw_sample(rng, truth, 1.0))));
   }
   EXPECT_FALSE(retrainer.drift_detected());
-  EXPECT_FALSE(retrainer.maybe_retrain());
 
-  // A shifted score stream fires the gate, and maybe_retrain (inline
-  // executor) runs a full retrain synchronously.
-  for (std::size_t i = 0; i < 64; ++i) {
+  // A shifted score stream fires the gate, and a retrain it triggers
+  // (inline executor) runs synchronously.
+  for (std::size_t i = 0; i < kDriftWindow; ++i) {
     retrainer.observe_score(5.0 + 0.01 * static_cast<double>(i));
   }
   EXPECT_TRUE(retrainer.drift_detected());
   const std::uint64_t before = retrainer.retrains();
-  EXPECT_TRUE(retrainer.maybe_retrain());
+  EXPECT_TRUE(retrainer.retrain_async());
   retrainer.wait();
   EXPECT_EQ(retrainer.retrains(), before + 1);
 }

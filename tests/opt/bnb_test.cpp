@@ -159,36 +159,22 @@ TEST(BnbTest, TimeBudgetRespected) {
 }
 
 TEST(BnbTest, GapToleranceStopsEarly) {
+  const Box root(1, Interval{-50.0, 50.0});
+  IntegerQuadratic exact_problem(Vector{1.3});
+  const BnbResult exact = BnbSolver().run(exact_problem, root);
   IntegerQuadratic problem(Vector{1.3});
   BnbOptions options;
-  options.abs_gap = 100.0;  // any incumbent is acceptable
-  const Box root(1, Interval{-50.0, 50.0});
+  options.rel_gap = 2.0;  // any incumbent is acceptable
   const BnbResult r = BnbSolver(options).run(problem, root);
   EXPECT_EQ(r.status, BnbStatus::kOptimal);
-  EXPECT_LE(r.best_value - r.lower_bound, 100.0 + 1e-9);
+  EXPECT_LE(r.best_value - r.lower_bound, 2.0 * r.best_value + 1e-9);
+  EXPECT_LT(r.nodes_processed, exact.nodes_processed);
 }
 
 TEST(BnbTest, EmptyRootRejected) {
   IntegerQuadratic problem(Vector{0.0});
   EXPECT_THROW(BnbSolver().run(problem, Box{}),
                ldafp::InvalidArgumentError);
-}
-
-TEST(BnbTest, ProgressCallbackFires) {
-  IntegerQuadratic problem(Vector{1.3, -2.7});
-  BnbOptions options;
-  options.progress_interval = 1;
-  int calls = 0;
-  double last_gap = 1e300;
-  options.progress = [&](const BnbResult& snapshot) {
-    ++calls;
-    EXPECT_FALSE(snapshot.best_point.has_value());  // kept cheap
-    last_gap = snapshot.best_value - snapshot.lower_bound;
-  };
-  const Box root(2, Interval{-20.0, 20.0});
-  const BnbResult r = BnbSolver(options).run(problem, root);
-  EXPECT_GE(calls, 1);
-  EXPECT_NEAR(last_gap, r.gap(), 1e-12);  // final snapshot matches
 }
 
 TEST(BnbTest, OptionsValidateRejectsEachBadKnob) {
@@ -207,12 +193,7 @@ TEST(BnbTest, OptionsValidateRejectsEachBadKnob) {
   EXPECT_TRUE(rejects([](BnbOptions& o) { o.max_nodes = 0; }));
   EXPECT_TRUE(rejects([](BnbOptions& o) { o.max_seconds = -1.0; }));
   EXPECT_TRUE(rejects([](BnbOptions& o) { o.max_seconds = std::nan(""); }));
-  EXPECT_TRUE(rejects([](BnbOptions& o) { o.abs_gap = -1e-9; }));
   EXPECT_TRUE(rejects([](BnbOptions& o) { o.rel_gap = -1e-9; }));
-  EXPECT_TRUE(rejects([](BnbOptions& o) {
-    o.progress = [](const BnbResult&) {};
-    o.progress_interval = 0;
-  }));
 
   // run() raises the rejection at the entry point.
   IntegerQuadratic problem(Vector{0.3, -0.6});

@@ -27,17 +27,13 @@ TEST(ModelRegistryTest, InstallAssignsIncreasingVersions) {
   EXPECT_EQ(registry.size(), 1u);
 }
 
-TEST(ModelRegistryTest, GetResolvesLatestAndSpecificVersions) {
+TEST(ModelRegistryTest, GetResolvesLatestVersion) {
   ModelRegistry registry;
   registry.install("bci", make_classifier(0.25));
   registry.install("bci", make_classifier(0.5));
   const auto latest = registry.get("bci");
   ASSERT_NE(latest, nullptr);
   EXPECT_EQ(latest->version, 2u);
-  const auto old = registry.get("bci", 1);
-  ASSERT_NE(old, nullptr);
-  EXPECT_EQ(old->version, 1u);
-  EXPECT_EQ(registry.get("bci", 99), nullptr);
   EXPECT_EQ(registry.get("missing"), nullptr);
 }
 
@@ -46,8 +42,8 @@ TEST(ModelRegistryTest, HotSwapKeepsInFlightHandleAlive) {
   registry.install("bci", make_classifier(0.25));
   const ModelHandle held = registry.get("bci");
   registry.install("bci", make_classifier(0.5));
-  registry.prune("bci");  // drop version 1 from the registry
-  EXPECT_EQ(registry.get("bci", 1), nullptr);
+  EXPECT_EQ(registry.prune("bci"), 1u);  // drop version 1
+  EXPECT_EQ(registry.list()[0].version_count, 1u);
   // The held handle still scores version 1's exact bits.
   EXPECT_EQ(held->version, 1u);
   EXPECT_DOUBLE_EQ(held->classifier.weights_real()[0], 0.25);
@@ -80,8 +76,12 @@ TEST(ModelRegistryTest, RemoveAndListAndPrune) {
   EXPECT_EQ(rows[0].version_count, 2u);
   EXPECT_EQ(rows[0].dim, 3u);
   EXPECT_EQ(rows[0].format, "Q2.4");
-  EXPECT_EQ(registry.prune("a", 1), 1u);
+  EXPECT_EQ(registry.prune("a"), 1u);
+  EXPECT_EQ(registry.prune("a"), 0u);
+  EXPECT_EQ(registry.prune("missing"), 0u);
   EXPECT_EQ(registry.get("a")->version, 2u);
+  // Pruning keeps the version sequence: the next install is version 3.
+  EXPECT_EQ(registry.install("a", make_classifier(0.5))->version, 3u);
   EXPECT_TRUE(registry.remove("b"));
   EXPECT_FALSE(registry.remove("b"));
   EXPECT_EQ(registry.size(), 1u);

@@ -166,7 +166,7 @@ TEST(BnbParallelTest, NodeBudgetStopsAtSameNodeAnyThreadCount) {
 TEST(BnbParallelTest, GapToleranceStopsIdentically) {
   const Box root(4, Interval{-50.0, 50.0});
   BnbOptions options;
-  options.abs_gap = 1.0;
+  options.rel_gap = 0.5;
   const BnbResult reference = run_with_threads(root, 1, options);
   for (const std::size_t threads : {2u, 4u}) {
     expect_identical(reference, run_with_threads(root, threads, options),
@@ -199,32 +199,6 @@ TEST(BnbParallelTest, WarmStartInvariantAcrossThreadCounts) {
     results[k] = BnbSolver(options).run(problem, root, incumbent);
   }
   expect_identical(results[0], results[1], 4);
-}
-
-TEST(BnbParallelTest, ProgressSnapshotsIdenticalUnderParallelism) {
-  // The snapshot sequence is part of the committed sequential order, so
-  // it too must be thread-invariant (modulo the timing field).
-  const Box root(3, Interval{-30.0, 30.0});
-  auto collect = [&root](std::size_t threads) {
-    AtomicIntegerQuadratic problem(Vector{1.3, -2.7, 0.5});
-    BnbOptions options;
-    options.progress_interval = 1;
-    options.executor = sched::Executor::pooled(threads);
-    std::vector<std::pair<double, double>> trace;  // (best, bound)
-    options.progress = [&trace](const BnbResult& snapshot) {
-      trace.emplace_back(snapshot.best_value, snapshot.lower_bound);
-    };
-    BnbSolver(options).run(problem, root);
-    return trace;
-  };
-  const auto sequential = collect(1);
-  const auto parallel = collect(4);
-  ASSERT_EQ(sequential.size(), parallel.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i].first, parallel[i].first) << "snapshot " << i;
-    EXPECT_EQ(sequential[i].second, parallel[i].second)
-        << "snapshot " << i;
-  }
 }
 
 // --- Warm-started LDA-FP training: the tree-wide warm starts of

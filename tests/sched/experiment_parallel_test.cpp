@@ -26,35 +26,14 @@ ExperimentConfig quick_config() {
   return config;
 }
 
-void expect_identical(const TrialResult& a, const TrialResult& b) {
-  EXPECT_EQ(a.word_length, b.word_length);
-  EXPECT_EQ(a.lda_error, b.lda_error);
-  EXPECT_EQ(a.ldafp_error, b.ldafp_error);
-  EXPECT_EQ(a.ldafp_gap, b.ldafp_gap);
-  EXPECT_EQ(a.ldafp_status, b.ldafp_status);
-  EXPECT_EQ(a.ldafp_nodes, b.ldafp_nodes);
-  EXPECT_EQ(a.lda_threshold, b.lda_threshold);
-  EXPECT_EQ(a.ldafp_threshold, b.ldafp_threshold);
-  EXPECT_EQ(linalg::max_abs_diff(a.lda_weights, b.lda_weights), 0.0);
-  EXPECT_EQ(linalg::max_abs_diff(a.ldafp_weights, b.ldafp_weights), 0.0);
-}
-
-TEST(ExperimentParallelTest, RunSweepBitIdenticalToSequential) {
-  support::Rng rng(21);
-  const auto train = data::make_synthetic(300, rng);
-  const auto test = data::make_synthetic(300, rng);
-
-  ExperimentConfig sequential = quick_config();
-  const auto reference = run_sweep(train, test, sequential);
-
-  for (const std::size_t threads : {2u, 4u}) {
-    ExperimentConfig parallel = quick_config();
-    parallel.executor = sched::Executor::pooled(threads);
-    const auto rows = run_sweep(train, test, parallel);
-    ASSERT_EQ(rows.size(), reference.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      expect_identical(reference[i], rows[i]);
-    }
+void expect_identical(const std::vector<CvTrialResult>& a,
+                      const std::vector<CvTrialResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].word_length, b[i].word_length);
+    EXPECT_EQ(a[i].lda_error, b[i].lda_error);
+    EXPECT_EQ(a[i].ldafp_error, b[i].ldafp_error);
+    EXPECT_EQ(a[i].max_gap, b[i].max_gap);
   }
 }
 
@@ -64,27 +43,21 @@ TEST(ExperimentParallelTest, RunCvSweepBitIdenticalToSequential) {
 
   support::Rng rng_a(7);
   const auto reference = run_cv_sweep(data, 4, quick_config(), rng_a);
-
-  ExperimentConfig parallel = quick_config();
-  parallel.executor = sched::Executor::pooled(4);
-  support::Rng rng_b(7);
-  const auto rows = run_cv_sweep(data, 4, parallel, rng_b);
-
-  ASSERT_EQ(rows.size(), reference.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].word_length, reference[i].word_length);
-    EXPECT_EQ(rows[i].lda_error, reference[i].lda_error);
-    EXPECT_EQ(rows[i].ldafp_error, reference[i].ldafp_error);
-    EXPECT_EQ(rows[i].max_gap, reference[i].max_gap);
-  }
-  // Both sweeps consumed the same randomness: the generators agree on
-  // the next fold assignment they would produce.
   const auto next_a = data::stratified_k_fold(data, 2, rng_a);
-  const auto next_b = data::stratified_k_fold(data, 2, rng_b);
-  ASSERT_EQ(next_a.size(), next_b.size());
-  for (std::size_t f = 0; f < next_a.size(); ++f) {
-    EXPECT_EQ(next_a[f].train.size(), next_b[f].train.size());
-    EXPECT_EQ(next_a[f].test.size(), next_b[f].test.size());
+
+  for (const std::size_t threads : {2u, 4u}) {
+    ExperimentConfig parallel = quick_config();
+    parallel.executor = sched::Executor::pooled(threads);
+    support::Rng rng_b(7);
+    expect_identical(reference, run_cv_sweep(data, 4, parallel, rng_b));
+    // Both sweeps consumed the same randomness: the generators agree on
+    // the next fold assignment they would produce.
+    const auto next_b = data::stratified_k_fold(data, 2, rng_b);
+    ASSERT_EQ(next_a.size(), next_b.size());
+    for (std::size_t f = 0; f < next_a.size(); ++f) {
+      EXPECT_EQ(next_a[f].train.size(), next_b[f].train.size());
+      EXPECT_EQ(next_a[f].test.size(), next_b[f].test.size());
+    }
   }
 }
 
@@ -145,24 +118,20 @@ TEST(ExperimentParallelTest, SharedPoolAcrossSweepAndSearchIsSafe) {
   // One pool serving both layers (sweep fan-out + intra-trial B&B):
   // waiters help, so a 2-thread pool cannot deadlock, and the numbers
   // still match fully sequential execution.
-  support::Rng rng(25);
-  const auto train = data::make_synthetic(150, rng);
-  const auto test = data::make_synthetic(150, rng);
+  support::Rng data_rng(25);
+  const auto data = data::make_synthetic(75, data_rng);  // 150 samples
 
   ExperimentConfig sequential = quick_config();
   sequential.word_lengths = {4, 6};
-  const auto reference = run_sweep(train, test, sequential);
+  support::Rng rng_a(8);
+  const auto reference = run_cv_sweep(data, 3, sequential, rng_a);
 
   ExperimentConfig nested = quick_config();
   nested.word_lengths = {4, 6};
   nested.executor = sched::Executor::pooled(2);
   nested.ldafp.bnb.executor = nested.executor;  // same pool, both layers
-  const auto rows = run_sweep(train, test, nested);
-
-  ASSERT_EQ(rows.size(), reference.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    expect_identical(reference[i], rows[i]);
-  }
+  support::Rng rng_b(8);
+  expect_identical(reference, run_cv_sweep(data, 3, nested, rng_b));
 }
 
 }  // namespace

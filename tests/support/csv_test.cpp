@@ -52,20 +52,6 @@ TEST(CsvTest, ThrowsOnMissingFile) {
                IoError);
 }
 
-TEST(CsvTest, WriteReadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "csv_roundtrip.csv";
-  CsvTable table;
-  table.header = {"x", "y"};
-  table.rows = {{1.5, -2.25}, {0.0, 1e-3}};
-  write_csv(path, table);
-  const auto back = read_csv(path, true);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_DOUBLE_EQ(back.rows[0][0], 1.5);
-  EXPECT_DOUBLE_EQ(back.rows[1][1], 1e-3);
-  EXPECT_EQ(back.header[1], "y");
-  std::remove(path.c_str());
-}
-
 // Deterministic mutation fuzz of parse_csv: valid numeric CSV texts are
 // mutated — junk written over a cell, commas inserted or removed,
 // nan/inf/hex-float/overlong tokens, comment and blank lines, CRLF line

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Lists the functions and classes declared in src/**/*.h that nothing uses.
+"""Lists the functions, classes and option fields in src/**/*.h that nothing uses.
 
 usage: python3 tools/unused_symbols.py [--allowlist FILE]
 
@@ -18,13 +18,23 @@ matched as whole identifiers, so a name that another symbol shares
 counts as used: the scan can miss dead code, but it does not report a
 symbol that program code calls.
 
+Settings get a rule of their own.  A data member of a struct named
+*Options or *Config is reported as Struct::name, kind "field", when no
+program file outside its own .h/.cpp writes it: `.name =`, `->name =`
+(compound assignments too), or a member path through it such as
+`.ldafp.bnb.max_nodes =`, which writes `ldafp` and `bnb` as well.  A
+designated initializer `{.name = ...}` counts; a positional aggregate
+initializer does not.  It is reported as kind "inert-field" when no
+file in src/ reads it (`.name` or `->name` other than as a write).  A
+field whose name another struct's field shares counts as written by
+that field's writes, so this rule can miss dead settings too.
+
 Each output line reads `path:line kind Class::name`.  With --allowlist
 FILE (one `Class::name  reason` per line, `#` comments) the listed
 symbols are printed as allowed, and the exit status is 1 when any symbol
 is unused and not on the list, or an entry gives no reason, or the list
 has gone stale: an entry the scan does not report (deleted, or gained a
-caller) unless its reason starts with "field" (the scan cannot see
-fields), or an entry whose reason starts with "test-only" while its own
+caller), or an entry whose reason starts with "test-only" while its own
 .cpp calls it (then it is internal).
 """
 
@@ -46,6 +56,10 @@ CLASS_HEAD = re.compile(r"\b(class|struct)\s+(?:\[\[[^\]]*\]\]\s*)?(\w+)\s*"
                         r"(?:final\s*)?(?::[^{]*)?$")
 NAMESPACE_HEAD = re.compile(r"\bnamespace\b")
 OPEN_PAREN = re.compile(r"\s*\(")
+OPTION_HEAD = re.compile(r"\bstruct\s+(\w+(?:Options|Config))\s*(?:final\s*)?\{")
+NOT_A_FIELD = re.compile(r"(static|using|typedef|friend|enum|struct|class|"
+                         r"template)\b")
+ASSIGN = r"\s*(?:[-+*/%|&^]|<<|>>)?=(?!=)"
 
 
 def strip_source(text, directives=False):
@@ -223,6 +237,65 @@ def called_in(text, name):
     return False
 
 
+def option_fields(text):
+    """Yields (line, struct, field) for each data member of a struct
+    named *Options or *Config in the stripped header `text`."""
+    for head in OPTION_HEAD.finditer(text):
+        depth = 0
+        begin = head.end()
+        for pos in range(head.end(), len(text)):
+            c = text[pos]
+            if c in "({":
+                depth += 1
+                continue
+            if c in ")}" and depth > 0:
+                depth -= 1
+                stmt = text[begin:pos]
+                if c == ")" or depth > 0 or not is_function(stmt):
+                    continue
+                begin = pos + 1  # an inline member function's body
+                continue
+            if c == "}":
+                break  # the struct's own closing brace
+            if c != ";" or depth > 0:
+                continue
+            access = ACCESS.match(text[begin:pos])
+            start = begin + (access.end() if access else 0)
+            stmt = text[start:pos].strip()
+            start = text.find(stmt[:1], start, pos)
+            begin = pos + 1
+            if not stmt or NOT_A_FIELD.match(stmt) or is_function(stmt):
+                continue
+            decl = re.split(r"[={]", stmt, maxsplit=1)[0]
+            name = IDENT.findall(re.sub(r"\[[^\]]*\]", "", decl))
+            if name:
+                yield text.count("\n", 0, start) + 1, head.group(1), name[-1]
+
+
+def is_function(stmt):
+    """True when the member declaration `stmt` declares a function: a
+    `(` before its initializer, outside template arguments."""
+    decl = re.split(r"[={]", stmt, maxsplit=1)[0]
+    while True:
+        bare = re.sub(r"<[^<>]*>", "", decl)
+        if bare == decl:
+            return "(" in bare
+        decl = bare
+
+
+def field_writes(text, name):
+    """True when the stripped source `text` assigns field `name`
+    directly or through a member path."""
+    return re.search(r"(?:\.|->)\s*" + name + r"(?:\s*(?:\.|->)\s*\w+|"
+                     r"\s*\[[^\]]*\])*" + ASSIGN, text) is not None
+
+
+def field_reads(text, name):
+    """True when the stripped source `text` reads field `name`."""
+    return re.search(r"(?:\.|->)\s*" + name + r"\b(?!" + ASSIGN + ")",
+                     text) is not None
+
+
 def program_files():
     for top in PROGRAM_DIRS:
         for path in sorted((ROOT / top).rglob("*")):
@@ -236,10 +309,11 @@ def main():
     args = parser.parse_args()
 
     identifiers = {}
+    sources = {}
     for path in program_files():
         # Directives stay: a macro body's calls are references.
-        identifiers[path] = set(
-            IDENT.findall(strip_source(path.read_text(), directives=True)))
+        sources[path] = strip_source(path.read_text(), directives=True)
+        identifiers[path] = set(IDENT.findall(sources[path]))
 
     unused = []
     for header in sorted((ROOT / "src").rglob("*.h")):
@@ -253,6 +327,18 @@ def main():
             if span and name in IDENT.findall(text[:span[0]] + text[span[1]:]):
                 continue
             unused.append((header.relative_to(ROOT), line, kind, qualified))
+        for line, struct, name in option_fields(text):
+            if not any(field_reads(src, name)
+                       for path, src in sources.items()
+                       if path.is_relative_to(ROOT / "src")):
+                kind = "inert-field"
+            elif not any(field_writes(src, name)
+                         for path, src in sources.items() if path not in own):
+                kind = "field"
+            else:
+                continue
+            unused.append((header.relative_to(ROOT), line, kind,
+                           f"{struct}::{name}"))
     unused.sort()
 
     allowed = {}  # symbol -> reason
@@ -281,7 +367,7 @@ def main():
             failures += 1
     reported = {qualified for *_, qualified in unused}
     for symbol, reason in sorted(allowed.items()):
-        if symbol not in reported and not reason.startswith("field"):
+        if symbol not in reported:
             print(f"allowlist entry {symbol} is not reported by the scan")
             failures += 1
     print(f"{len(unused)} unused symbol(s), {failures} not on the allowlist, "
